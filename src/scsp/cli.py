@@ -11,12 +11,11 @@ import sys
 
 from .cutgraph import build_network, format_network
 from .errors import NotSubmodular, ParseError, TooLarge
-from .fileformat import parse_instance
-from .functions import BinaryTable, IntervalFunction
+from .fileformat import format_constraint, parse_instance
+from .functions import IntervalFunction
 from .model import Instance
-from .solver import (brute_force, compile_to_intervals, expand_constraint,
-                     solve)
-from .submodular import find_violation
+from .solver import (brute_force, check_constraint, compile_to_intervals,
+                     expand_constraint, solve)
 
 
 def _print_solution(instance, solution):
@@ -29,19 +28,14 @@ def _cmd_solve(instance: Instance, args) -> int:
     solution = solve(instance)
     _print_solution(instance, solution)
     if args.emit_graph:
-        network = build_network(compile_to_intervals(instance))
         with open(args.emit_graph, "w") as handle:
-            handle.write(format_network(network))
+            handle.write(format_network(solution.network))
     return 0
 
 
 def _cmd_check(instance: Instance, args) -> int:
     for index, c in enumerate(instance.constraints):
-        f = c.function
-        if isinstance(f, BinaryTable) and c.scope[0] != c.scope[1]:
-            witness = find_violation(f)
-            if witness is not None:
-                raise NotSubmodular(witness, constraint_index=index)
+        check_constraint(c, index)
     print("submodular")
     return 0
 
@@ -51,9 +45,7 @@ def _cmd_decompose(instance: Instance, args) -> int:
         if isinstance(c.function, IntervalFunction):
             continue
         for part in expand_constraint(c, instance.domain_size, index):
-            f = part.function
-            print(f"gi {part.scope[0]} {part.scope[1]} "
-                  f"{f.x_min} {f.y_max} {f.penalty}")
+            print(format_constraint(part))
     return 0
 
 
@@ -93,9 +85,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.file) as handle:
+        with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -56,6 +56,11 @@ class WrongConstraintKind(ScspError):
     """The flow network accepts interval-function constraints only."""
 
 
+class CutMismatch(ScspError):
+    """A minimum cut's weight differs from the evaluation of the assignment
+    read off it; indicates a bug."""
+
+
 class DecompositionError(ScspError):
     """Internal invariant of the decomposition failed; indicates a bug."""
 

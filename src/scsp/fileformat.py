@@ -8,8 +8,9 @@
     gi <v> <w> a b rho          penalty rho unless t(v) < a or t(w) > b
 
 Tokens are whitespace-separated; ``#`` starts a comment.  Evaluations are
-decimal integers, ``p/q`` rationals, or ``inf``.  Parsing and printing
-round-trip: parse(format_instance(inst)) == inst.
+decimal integers, ``p/q`` rationals, or ``inf``; numbers use the ASCII
+digits 0-9 only.  Parsing and printing round-trip:
+parse(format_instance(inst)) == inst.
 """
 
 from __future__ import annotations
@@ -21,11 +22,22 @@ from .evaluation import Evaluation, as_evaluation
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint
 
-_EVALUATION_TOKEN = re.compile(r"^(inf|\d+(/\d+)?)$")
+_NATURAL = re.compile(r"[0-9]+")
+_EVALUATION_TOKEN = re.compile(r"inf|[0-9]+(/[0-9]+)?")
+
+
+def _parse_natural(token: str, lineno: int, message: str) -> int:
+    """A decimal integer in ASCII digits; anything else raises ParseError."""
+    if _NATURAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(lineno, message)
 
 
 def _parse_evaluation(token: str, lineno: int) -> Evaluation:
-    if not _EVALUATION_TOKEN.match(token):
+    if not _EVALUATION_TOKEN.fullmatch(token):
         raise ParseError(lineno, f"bad evaluation {token!r}; "
                          "use an integer, p/q, or inf")
     try:
@@ -33,6 +45,8 @@ def _parse_evaluation(token: str, lineno: int) -> Evaluation:
     except ZeroDivisionError:
         raise ParseError(lineno, f"bad evaluation {token!r}; "
                          "zero denominator") from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(lineno, "bad evaluation; too many digits") from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -70,9 +84,11 @@ def parse_instance(text: str) -> Instance:
         elif keyword == "domain":
             if m is not None:
                 raise ParseError(lineno, "duplicate domain line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
-                raise ParseError(lineno, "domain takes one positive integer")
-            m = int(tokens[1])
+            message = "domain takes one positive integer"
+            m = (_parse_natural(tokens[1], lineno, message)
+                 if len(tokens) == 2 else 0)
+            if m < 1:
+                raise ParseError(lineno, message)
         elif keyword == "var":
             if len(tokens) != 2:
                 raise ParseError(lineno, "var takes exactly one name")
@@ -114,9 +130,7 @@ def parse_instance(text: str) -> Instance:
             w = known_variable(tokens[2], lineno)
             bounds = []
             for t in tokens[3:5]:
-                if not t.isdigit():
-                    raise ParseError(lineno, f"bad interval bound {t!r}")
-                bound = int(t)
+                bound = _parse_natural(t, lineno, f"bad interval bound {t!r}")
                 if not 1 <= bound <= size:
                     raise ParseError(lineno,
                                      f"interval bound {bound} outside 1..{size}")
@@ -134,19 +148,22 @@ def parse_instance(text: str) -> Instance:
     return Instance(tuple(variables), m, tuple(constraints))
 
 
+def format_constraint(constraint: SoftConstraint) -> str:
+    """One constraint's line, without the newline."""
+    f = constraint.function
+    if isinstance(f, UnaryTable):
+        body = " ".join(str(v) for v in f.values)
+        return f"unary {constraint.scope[0]} {body}"
+    if isinstance(f, BinaryTable):
+        body = " / ".join(" ".join(str(v) for v in row) for row in f.rows)
+        return f"binary {constraint.scope[0]} {constraint.scope[1]} {body}"
+    return (f"gi {constraint.scope[0]} {constraint.scope[1]} "
+            f"{f.x_min} {f.y_max} {f.penalty}")
+
+
 def format_instance(instance: Instance) -> str:
     """Canonical text for an instance; inverse of :func:`parse_instance`."""
     lines = ["scsp 1", f"domain {instance.domain_size}"]
     lines.extend(f"var {v}" for v in instance.variables)
-    for c in instance.constraints:
-        f = c.function
-        if isinstance(f, UnaryTable):
-            body = " ".join(str(v) for v in f.values)
-            lines.append(f"unary {c.scope[0]} {body}")
-        elif isinstance(f, BinaryTable):
-            body = " / ".join(" ".join(str(v) for v in row) for row in f.rows)
-            lines.append(f"binary {c.scope[0]} {c.scope[1]} {body}")
-        else:
-            lines.append(f"gi {c.scope[0]} {c.scope[1]} "
-                         f"{f.x_min} {f.y_max} {f.penalty}")
+    lines.extend(format_constraint(c) for c in instance.constraints)
     return "".join(line + "\n" for line in lines)

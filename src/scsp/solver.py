@@ -14,15 +14,15 @@ submodularity requirement of :func:`solve` tight rather than convenient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cutgraph import build_network, extract_assignment, min_cut
-from .errors import (GadgetMismatch, IsSubmodular, NotSubmodular,
-                     ParameterError, TooLarge)
+from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
+from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
+                     NotSubmodular, ParameterError, TooLarge)
 from .evaluation import INF, ZERO, Evaluation, as_evaluation
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint, evaluate
-from .submodular import (decompose_binary, decompose_unary,
+from .submodular import (decompose_binary, decompose_unary, find_violation,
                          find_violation_full)
 
 BRUTE_FORCE_GUARD = 10 ** 7
@@ -30,8 +30,13 @@ BRUTE_FORCE_GUARD = 10 ** 7
 
 @dataclass(frozen=True)
 class Solution:
+    """An optimal assignment and its evaluation.  ``network`` is the flow
+    network :func:`solve` cut; :func:`brute_force` leaves it None."""
+
     assignment: dict
     evaluation: Evaluation
+    network: FlowNetwork | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 def _route(term, v, w) -> SoftConstraint:
@@ -44,6 +49,21 @@ def _route(term, v, w) -> SoftConstraint:
     else:
         scope = (w, w)
     return SoftConstraint(scope, term.interval)
+
+
+def check_constraint(constraint: SoftConstraint,
+                     index: int | None = None) -> None:
+    """Raise NotSubmodular, tagged with ``index``, if the constraint is a
+    binary table over two distinct variables that is not submodular.
+
+    That is the one requirement :func:`solve` places on its input; a table
+    on a repeated scope only ever sees its diagonal.
+    """
+    f = constraint.function
+    if isinstance(f, BinaryTable) and constraint.scope[0] != constraint.scope[1]:
+        witness = find_violation(f)
+        if witness is not None:
+            raise NotSubmodular(witness, constraint_index=index)
 
 
 def expand_constraint(constraint: SoftConstraint, m: int,
@@ -93,8 +113,10 @@ def solve(instance: Instance) -> Solution:
     cut = min_cut(network)
     assignment = extract_assignment(network, cut)
     value = evaluate(instance, assignment)
-    assert value == cut.value, "cut weight must equal the extracted assignment's evaluation"
-    return Solution(assignment, value)
+    if value != cut.value:
+        raise CutMismatch(f"cut weight {cut.value} differs from the "
+                          f"extracted assignment's evaluation {value}")
+    return Solution(assignment, value, network)
 
 
 def brute_force(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Solution:

@@ -13,13 +13,15 @@ patterns:
 
 :func:`decompose_binary` computes such a sum with at most 2*M*(M+1) terms;
 :func:`reconstruct` adds a term list back up.  The decomposition runs in
-three stages:
+three stages, each written once, for rows; the column half of a stage is
+the same code run on the transposed table, with "xx" terms read as "yy"
+and "yx" terms as "xy":
 
-1. strip *inconsistent* rows and columns (all entries infinite): each
+1. strip *inconsistent* rows, then columns (all entries infinite): each
    yields an infinite diagonal term, and the line is overwritten with an
    adjacent consistent one so the remainder stays submodular;
-2. strip *penalized* rows and columns (all entries positive): each yields
-   a diagonal term carrying the line minimum;
+2. strip *penalized* rows, then columns (all entries positive): each
+   yields a diagonal term carrying the line minimum;
 3. two peeling passes, by rows then by columns, each repeatedly locating
    the zero entry closest to the end of the current line and emitting the
    rectangle term that cancels the residual just after it.
@@ -47,7 +49,7 @@ from typing import NamedTuple
 
 from .errors import (DecompositionError, DomainError, NotSubmodular,
                      ParameterError, PreconditionViolated, TooLarge)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation
+from .evaluation import ZERO, Evaluation, as_evaluation
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 
 PATTERNS = ("xy", "yx", "xx", "yy")
@@ -256,21 +258,13 @@ def decompose_binary(table: BinaryTable, trace=None) -> Decomposition:
     this exists so tests can observe that intermediate residuals stay
     submodular.
     """
-    witness = find_violation(table)
-    if witness is not None:
-        raise NotSubmodular(witness)
-    m = table.m
-    grid = _raw_grid(table)
-    terms: list[IntervalTerm] = []
-    _strip_inconsistent(grid, m, terms, trace)
-    _strip_penalized(grid, m, terms, trace)
-    _peel(grid, m, False, terms, trace)
-    _peel(grid, m, True, terms, trace)
+    terms, grid = _run_stages(
+        table, (_strip_inconsistent, _strip_penalized, _peel), trace)
     for row in grid:
         for v in row:
             if v != 0:
                 raise DecompositionError("nonzero residual after peeling")
-    return Decomposition(tuple(terms), m)
+    return Decomposition(terms, table.m)
 
 
 def strip_inconsistent(table: BinaryTable):
@@ -279,13 +273,8 @@ def strip_inconsistent(table: BinaryTable):
     Returns (terms, residual) with table == sum(terms) + residual and the
     residual free of inconsistent lines.  Input must be submodular.
     """
-    witness = find_violation(table)
-    if witness is not None:
-        raise NotSubmodular(witness)
-    grid = _raw_grid(table)
-    terms: list[IntervalTerm] = []
-    _strip_inconsistent(grid, table.m, terms, None)
-    return tuple(terms), _table_from_raw(grid)
+    terms, grid = _run_stages(table, (_strip_inconsistent,), None)
+    return terms, _table_from_raw(grid)
 
 
 def strip_penalized(table: BinaryTable):
@@ -294,192 +283,149 @@ def strip_penalized(table: BinaryTable):
     Returns (terms, residual); the residual has a zero in every row and
     column.  Input must be submodular and free of inconsistent lines.
     """
+    terms, grid = _run_stages(table, (_strip_penalized,), None)
+    return terms, _table_from_raw(grid)
+
+
+_TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
+
+
+def _run_stages(table, stages, trace):
+    """Check the table, then run each stage over its rows and then over its
+    columns.  Returns the terms and the raw residual grid."""
     witness = find_violation(table)
     if witness is not None:
         raise NotSubmodular(witness)
+    m = table.m
     grid = _raw_grid(table)
-    terms: list[IntervalTerm] = []
-    _strip_penalized(grid, table.m, terms, None)
-    return tuple(terms), _table_from_raw(grid)
+    terms = []  # (pattern, x_min, y_max, raw penalty)
+    record = None if trace is None else trace.append
+    for stage in stages:
+        stage(grid, m, terms, record)
+        grid = _on_columns(stage, grid, m, terms, record)
+    return tuple(IntervalTerm(IntervalFunction(a, b, Evaluation._make(v)), p)
+                 for p, a, b, v in terms), grid
+
+
+def _on_columns(stage, grid, m, terms, record):
+    """Run a row stage on the transposed grid; terms, snapshots and the
+    returned grid are turned back to the original orientation."""
+    flipped = [list(column) for column in zip(*grid)]
+    column_terms = []
+    stage(flipped, m, column_terms,
+          None if record is None else lambda s: record(tuple(zip(*s))))
+    terms.extend((_TRANSPOSED[p], a, b, v) for p, a, b, v in column_terms)
+    return [list(row) for row in zip(*flipped)]
 
 
 def _snapshot(grid):
     return tuple(tuple(Evaluation._make(v) for v in row) for row in grid)
 
 
-def _strip_inconsistent(grid, m, terms, trace):
-    def row_inf(i):
-        return all(v is None for v in grid[i])
+def _inconsistent(row):
+    return all(v is None for v in row)
 
-    def col_inf(j):
-        return all(grid[i][j] is None for i in range(m))
 
+def _strip_inconsistent(grid, m, terms, record):
+    """Overwrite each all-infinite row with an adjacent consistent one,
+    emitting an infinite "xx" term for it."""
     while True:
-        bad = [i for i in range(m) if row_inf(i)]
+        bad = [i for i in range(m) if _inconsistent(grid[i])]
         if not bad:
-            break
+            return
         if len(bad) == m:
             # The whole table is infinite; one blanket term covers it.
-            terms.append(IntervalTerm(IntervalFunction(1, m, INF), "xy"))
+            terms.append(("xy", 1, m, None))
             for i in range(m):
                 grid[i] = [_F0] * m
-            if trace is not None:
-                trace.append(_snapshot(grid))
+            if record is not None:
+                record(_snapshot(grid))
             return
-        progressed = False
-        for a in bad:
-            b = a - 1 if a > 0 and not row_inf(a - 1) else a + 1
-            if b >= m or row_inf(b):
-                continue  # interior of a block; a later sweep reaches it
-            terms.append(IntervalTerm(IntervalFunction(a + 1, a + 1, INF), "xx"))
-            grid[a] = list(grid[b])
-            if trace is not None:
-                trace.append(_snapshot(grid))
-            progressed = True
-            break
-        if not progressed:
+        for a in bad:  # rows inside a block wait for a later sweep
+            b = a - 1 if a > 0 and not _inconsistent(grid[a - 1]) else a + 1
+            if b < m and not _inconsistent(grid[b]):
+                break
+        else:
             raise DecompositionError("no consistent row to copy from")
-    while True:
-        bad = [j for j in range(m) if col_inf(j)]
-        if not bad:
-            break
-        progressed = False
-        for a in bad:
-            b = a - 1 if a > 0 and not col_inf(a - 1) else a + 1
-            if b >= m or col_inf(b):
-                continue
-            terms.append(IntervalTerm(IntervalFunction(a + 1, a + 1, INF), "yy"))
-            for i in range(m):
-                grid[i][a] = grid[i][b]
-            if trace is not None:
-                trace.append(_snapshot(grid))
-            progressed = True
-            break
-        if not progressed:
-            raise DecompositionError("no consistent column to copy from")
+        terms.append(("xx", a + 1, a + 1, None))
+        grid[a] = list(grid[b])
+        if record is not None:
+            record(_snapshot(grid))
 
 
-def _strip_penalized(grid, m, terms, trace):
-    while True:
-        changed = False
-        for i in range(m):
-            row = grid[i]
-            mu = _F0 if 0 in row else min((v for v in row if v is not None),
-                                          default=None)
-            if mu is None:
-                raise DecompositionError("inconsistent row while stripping minima")
-            if mu != 0:
-                terms.append(IntervalTerm(
-                    IntervalFunction(i + 1, i + 1, Evaluation._make(mu)), "xx"))
-                grid[i] = [None if v is None else v - mu for v in row]
-                changed = True
-                if trace is not None:
-                    trace.append(_snapshot(grid))
-        for j in range(m):
-            column = [grid[i][j] for i in range(m)]
-            mu = _F0 if 0 in column else min((v for v in column if v is not None),
-                                             default=None)
-            if mu is None:
-                raise DecompositionError("inconsistent column while stripping minima")
-            if mu != 0:
-                terms.append(IntervalTerm(
-                    IntervalFunction(j + 1, j + 1, Evaluation._make(mu)), "yy"))
-                for i in range(m):
-                    if grid[i][j] is not None:
-                        grid[i][j] -= mu
-                changed = True
-                if trace is not None:
-                    trace.append(_snapshot(grid))
-        if not changed:
-            return
+def _strip_penalized(grid, m, terms, record):
+    """Subtract each row's minimum, emitting an "xx" term for it.
 
-
-def _peel(grid, m, by_columns, terms, trace):
-    """One peeling pass over rows (pattern "yx") or columns ("xy").
-
-    A term emitted at (line, pos+1) covers every line not yet finalized,
-    so the amounts peeled so far are kept in ``taken`` and only applied to
-    a line's stored entries once, when the line is done.
+    One sweep over rows and one over columns leave a zero in every line:
+    subtracting a column's minimum never touches a column holding a zero.
     """
-    if by_columns:
-        def get(line, pos):
-            return grid[pos - 1][line - 1]
+    for i in range(m):
+        row = grid[i]
+        mu = _F0 if 0 in row else min((v for v in row if v is not None),
+                                      default=None)
+        if mu is None:
+            raise DecompositionError("inconsistent line while stripping minima")
+        if mu != 0:
+            terms.append(("xx", i + 1, i + 1, mu))
+            grid[i] = [None if v is None else v - mu for v in row]
+            if record is not None:
+                record(_snapshot(grid))
 
-        def put(line, pos, value):
-            grid[pos - 1][line - 1] = value
 
-        pattern = "xy"
-    else:
-        def get(line, pos):
-            return grid[line - 1][pos - 1]
+def _peel(grid, m, terms, record):
+    """The peeling pass over rows, bottom row first, emitting "yx" terms.
 
-        def put(line, pos, value):
-            grid[line - 1][pos - 1] = value
-
-        pattern = "yx"
-
-    taken = [_F0] * (m + 1)  # taken[p]: finite amount pending at position p
-    for line in range(m, 0, -1):
+    A term emitted at (row, col) covers every row not yet finalized, so
+    the amounts peeled so far are kept in ``taken`` and only applied to a
+    row's stored entries once, when the row is done.
+    """
+    taken = [_F0] * m  # taken[j]: finite amount pending in column j
+    for i in range(m - 1, -1, -1):
+        row = grid[i]
         while True:
-            end = get(line, m)
-            if end is not None and end == taken[m]:
-                break  # residual at the end of the line is zero
-            pos = m
-            while pos >= 1:
-                v = get(line, pos)
-                if v is not None and v == taken[pos]:
-                    break
-                pos -= 1
-            if pos < 1:
+            # the zero closest to the end of the row (None is never zero)
+            j = m - 1
+            while j >= 0 and row[j] != taken[j]:
+                j -= 1
+            if j == m - 1:
+                break
+            if j < 0:
                 raise DecompositionError("no zero anchor while peeling")
-            anchor = get(line, pos + 1)
+            anchor = row[j + 1]
             if anchor is None:
-                terms.append(IntervalTerm(
-                    IntervalFunction(pos + 1, line, INF), pattern))
+                terms.append(("yx", j + 2, i + 1, None))
                 # No finite bookkeeping can cancel an infinite term; it is
                 # sound to cancel it at its anchor cell alone because the
                 # whole rectangle it covers is infinite.
-                if __debug__:
-                    for l2 in range(1, line + 1):
-                        for p2 in range(pos + 1, m + 1):
-                            assert get(l2, p2) is None, \
-                                "finite cell under an infinite term"
-                put(line, pos + 1, taken[pos + 1])
+                if any(v is not None for r in grid[:i + 1] for v in r[j + 1:]):
+                    raise DecompositionError(
+                        "finite cell under an infinite term")
+                row[j + 1] = taken[j + 1]
             else:
-                delta = anchor - taken[pos + 1]
+                delta = anchor - taken[j + 1]
                 if delta < 0:
                     raise PreconditionViolated(
                         "peeled more than a cell holds; input cannot have "
                         "been submodular")
-                terms.append(IntervalTerm(
-                    IntervalFunction(pos + 1, line, Evaluation._make(delta)),
-                    pattern))
-                for p2 in range(pos + 1, m + 1):
-                    taken[p2] = taken[p2] + delta
-            if trace is not None:
-                trace.append(_peel_snapshot(grid, m, by_columns, line, taken))
-        for p2 in range(1, m + 1):
-            v = get(line, p2)
+                terms.append(("yx", j + 2, i + 1, delta))
+                for k in range(j + 1, m):
+                    taken[k] += delta
+            if record is not None:
+                record(_peel_snapshot(grid, i, taken))
+        for k, v in enumerate(row):
             if v is not None:
-                residual = v - taken[p2]
+                residual = v - taken[k]
                 if residual < 0:
                     raise PreconditionViolated(
                         "peeled more than a cell holds; input cannot have "
                         "been submodular")
-                put(line, p2, residual)
+                row[k] = residual
 
 
-def _peel_snapshot(grid, m, by_columns, current_line, taken):
-    # Materialize the true residual: finalized lines are stored as-is,
-    # unfinished ones still owe the pending amounts.
-    out = []
-    for r in range(1, m + 1):
-        row = []
-        for c in range(1, m + 1):
-            line, pos = (c, r) if by_columns else (r, c)
-            v = grid[r - 1][c - 1]
-            if v is not None and line <= current_line:
-                v = v - taken[pos]
-            row.append(Evaluation._make(v))
-        out.append(tuple(row))
-    return tuple(out)
+def _peel_snapshot(grid, current, taken):
+    # Materialize the true residual: rows below the current one are
+    # finalized and stored as-is, the others still owe the pending amounts.
+    return tuple(
+        tuple(Evaluation._make(v if v is None or i > current else v - t)
+              for v, t in zip(row, taken))
+        for i, row in enumerate(grid))

@@ -15,7 +15,7 @@ from helpers import (random_assignment, random_gi_instance,
                      random_mixed_instance, random_submodular_table)
 from scsp import (INF, SINK, SOURCE, FlowEdge, Instance, IntervalFunction,
                   IntervalTerm, SoftConstraint, as_evaluation, brute_force,
-                  build_network, compile_to_intervals, cut_from_assignment,
+                  build_network, cut_from_assignment,
                   decompose_binary, evaluate, find_violation,
                   find_violation_full, is_submodular, parse_instance,
                   product_complement, reconstruct, solve, term_table,
@@ -251,8 +251,7 @@ def test_criterion_10_scale():
     sol = solve(inst)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    net = build_network(compile_to_intervals(inst))
-    assert len(net.nodes) == 200 * 17 + 2 == 3402
+    assert len(sol.network.nodes) == 200 * 17 + 2 == 3402
     assert str(sol.evaluation) == "762"  # frozen from this generator
     assert evaluate(inst, sol.assignment) == sol.evaluation
     ok(10, f"200 variables x 1000 constraints over 1..16 solve in "

@@ -2,7 +2,8 @@
 
 import pytest
 
-from scsp import parse_instance
+import scsp.solver
+from scsp import BinaryTable, parse_instance
 from scsp.cli import main
 
 
@@ -32,6 +33,32 @@ class TestSolve:
         lines = target.read_text().splitlines()
         assert len(lines) == 22
         assert "x_4 y_2 3 constraint:0" in lines
+
+    def test_emit_graph_is_the_graph_output(self, capsys, data_dir, tmp_path):
+        source = str(data_dir / "quadratic.scsp")
+        target = tmp_path / "network.edges"
+        code, _, _ = run(capsys, "solve", source, "--emit-graph", str(target))
+        assert code == 0
+        code, out, _ = run(capsys, "graph", source)
+        assert code == 0 and target.read_bytes() == out.encode()
+
+    def test_emit_graph_decomposes_each_table_once(self, capsys, data_dir,
+                                                  tmp_path, monkeypatch):
+        calls = []
+        original = scsp.solver.decompose_binary
+
+        def counting(table, *args, **kwargs):
+            calls.append(table)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(scsp.solver, "decompose_binary", counting)
+        source = data_dir / "quadratic.scsp"
+        code, _, _ = run(capsys, "solve", str(source),
+                         "--emit-graph", str(tmp_path / "network.edges"))
+        assert code == 0
+        tables = [c for c in parse_instance(source.read_text()).constraints
+                  if isinstance(c.function, BinaryTable)]
+        assert tables and len(calls) == len(tables)
 
     def test_non_submodular_input(self, capsys, data_dir):
         code, out, _ = run(capsys, "solve", str(data_dir / "xor.scsp"))
@@ -122,6 +149,21 @@ class TestErrors:
         code, out, err = run(capsys, "solve", str(path))
         assert code == 1 and out == ""
         assert err.strip() == "error: line 1: expected header 'scsp 1'"
+
+    def test_superscript_domain(self, capsys, tmp_path):
+        path = tmp_path / "bad.scsp"
+        path.write_text("scsp 1\ndomain \u00b2\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert err.strip() == \
+            "error: line 2: domain takes one positive integer"
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scsp"
+        path.write_bytes(b"scsp 1\ndomain 2\nvar caf\xe9\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "utf-8" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.scsp"))

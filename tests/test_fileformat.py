@@ -85,6 +85,25 @@ class TestParseErrors:
         self.check(head + "gi y x one 4 3\n", 5, "bad interval bound")
         self.check(head + "gi y x 1 4\n", 5, "gi takes")
 
+    def test_numbers_take_ascii_digits_only(self):
+        # str.isdigit and \\d accept these; int() rejects some of them
+        head = "scsp 1\ndomain 4\nvar x\nvar y\n"
+        self.check("scsp 1\ndomain \u00b2\n", 2, "positive integer")
+        self.check("scsp 1\ndomain \u0664\n", 2, "positive integer")
+        self.check(head + "gi x y \u00b2 1 1\n", 5, "bad interval bound")
+        self.check(head + "gi x y 1 \u0661 1\n", 5, "bad interval bound")
+        self.check(head + "unary x \u0661 0 0 0\n", 5, "bad evaluation")
+        self.check(head + "unary x 1/\u0662 0 0 0\n", 5, "bad evaluation")
+        self.check(head + "gi x y 1 1 \u00b2\n", 5, "bad evaluation")
+
+    def test_numbers_beyond_int_conversion(self):
+        digits = "1" * 5000
+        head = "scsp 1\ndomain 4\nvar x\nvar y\n"
+        self.check(f"scsp 1\ndomain {digits}\n", 2, "positive integer")
+        self.check(head + f"gi x y {digits} 1 1\n", 5, "bad interval bound")
+        self.check(head + f"unary x {digits} 0 0 0\n", 5, "too many digits")
+        self.check(head + f"unary x 1/{digits} 0 0 0\n", 5, "too many digits")
+
     def test_evaluation_tokens(self):
         head = "scsp 1\ndomain 2\nvar a\n"
         self.check(head + "unary a 1.5 0\n", 4, "bad evaluation")

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_mixed_instance, unary
+import scsp.solver
 from scsp import (Instance, IntervalFunction, SoftConstraint, as_evaluation,
-                  brute_force, compile_to_intervals, evaluate,
+                  brute_force, build_network, compile_to_intervals, evaluate,
                   expand_constraint, parse_instance, solve, xor_penalty)
-from scsp.errors import NotSubmodular, TooLarge
+from scsp.errors import CutMismatch, NotSubmodular, TooLarge
+from scsp.solver import Solution, check_constraint
 
 
 def all_assignments(instance):
@@ -53,6 +55,19 @@ class TestExpandConstraint:
             expand_constraint(c, 2, index=7)
         assert info.value.constraint_index == 7
         assert info.value.witness == (1, 1, 2, 2)
+
+
+class TestCheckConstraint:
+    def test_distinct_scope_table_must_be_submodular(self):
+        c = SoftConstraint(("a", "b"), xor_penalty())
+        with pytest.raises(NotSubmodular) as info:
+            check_constraint(c, 3)
+        assert info.value.constraint_index == 3
+
+    def test_other_constraints_pass(self):
+        check_constraint(SoftConstraint(("a", "a"), xor_penalty()))
+        check_constraint(SoftConstraint(("a",), unary([1, 0])))
+        check_constraint(SoftConstraint(("a", "b"), IntervalFunction(1, 2, 3)))
 
 
 class TestCompile:
@@ -115,6 +130,20 @@ class TestSolve:
         with pytest.raises(NotSubmodular) as info:
             solve(inst)
         assert info.value.constraint_index == 0
+
+    def test_solution_keeps_the_network_it_cut(self, chain_text):
+        inst = parse_instance(chain_text)
+        sol = solve(inst)
+        assert sol.network == build_network(compile_to_intervals(inst))
+        assert sol == Solution(sol.assignment, sol.evaluation)
+        assert "network" not in repr(sol)
+        assert brute_force(inst).network is None
+
+    def test_cut_must_match_evaluation(self, chain_text, monkeypatch):
+        monkeypatch.setattr(scsp.solver, "evaluate",
+                            lambda instance, assignment: as_evaluation(99))
+        with pytest.raises(CutMismatch):
+            solve(parse_instance(chain_text))
 
     def test_deterministic(self):
         rng = random.Random(73)

@@ -14,6 +14,8 @@ from scsp import (INF, BinaryTable, Decomposition, DomainError,
                   term_table, tightness, xor_penalty)
 from helpers import (kary_dict, perturb_entry, random_submodular_table, table,
                      unary)
+from scsp.errors import DecompositionError
+from scsp.submodular import _peel
 
 
 def quadruple_holds(t, w):
@@ -402,6 +404,43 @@ class TestDecomposeBinary:
                 tab = term_table(term, m)
                 assert is_submodular(tab)
                 assert find_kary_violation(kary_dict(tab), m, 2) is None
+
+    @pytest.mark.parametrize("t, expected", [
+        (product_complement(3), [
+            ("xx", 1, 1, "6"), ("xx", 2, 2, "3"),
+            ("yy", 1, 1, "2"), ("yy", 2, 2, "1"),
+            ("xy", 2, 2, "1"), ("xy", 3, 2, "1"),
+            ("xy", 2, 1, "1"), ("xy", 3, 1, "1"),
+        ]),
+        (delay(4, 2), [
+            ("yx", 4, 3, "inf"), ("yx", 3, 2, "inf"), ("yx", 4, 2, "inf"),
+            ("yx", 2, 1, "inf"), ("yx", 3, 1, "inf"), ("yx", 4, 1, "inf"),
+            ("xy", 4, 3, "1"), ("xy", 3, 2, "1"), ("xy", 4, 2, "2"),
+            ("xy", 2, 1, "1"), ("xy", 3, 1, "2"), ("xy", 4, 1, "2"),
+        ]),
+        # row 2 and column 2 are all infinite
+        (table([[0, None, 1, 2],
+                [None, None, None, None],
+                [None, None, 0, 1],
+                [None, None, None, 0]]), [
+            ("xx", 2, 2, "inf"), ("yy", 2, 2, "inf"),
+            ("yx", 4, 3, "1"), ("yx", 3, 2, "1"),
+            ("xy", 4, 3, "inf"), ("xy", 3, 2, "inf"), ("xy", 4, 2, "inf"),
+            ("xy", 3, 1, "inf"), ("xy", 4, 1, "inf"),
+        ]),
+    ], ids=["product_complement", "delay", "infinite_row_and_column"])
+    def test_emitted_term_order(self, t, expected):
+        got = [(term.pattern, term.interval.x_min, term.interval.y_max,
+                str(term.interval.penalty))
+               for term in decompose_binary(t).terms]
+        assert got == expected
+
+    def test_finite_cell_under_an_infinite_term(self):
+        # Not submodular, so only a direct call reaches the peel: the
+        # infinite term anchored at (2, 2) would also cover the finite 5.
+        grid = [[Fraction(0), Fraction(5)], [Fraction(0), None]]
+        with pytest.raises(DecompositionError, match="finite cell"):
+            _peel(grid, 2, [], None)
 
     def test_intermediate_residuals_stay_submodular(self):
         rng = random.Random(79)
