@@ -28,8 +28,12 @@ def _cmd_solve(instance: Instance, args) -> int:
     solution = solve(instance)
     _print_solution(instance, solution)
     if args.emit_graph:
-        with open(args.emit_graph, "w") as handle:
-            handle.write(format_network(solution.network))
+        try:
+            with open(args.emit_graph, "w") as handle:
+                handle.write(format_network(solution.network))
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     return 0
 
 

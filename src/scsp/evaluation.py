@@ -20,12 +20,15 @@ class Evaluation:
 
     Instances are immutable and compare by value.  The infinite value is
     exposed as the module constant :data:`INF`; it is never encoded as a
-    large number.
+    large number.  Floats are refused, as by :func:`as_evaluation`.
     """
 
     __slots__ = ("_value",)
 
     def __init__(self, value):
+        if isinstance(value, float):
+            raise TypeError("refusing float; pass a Fraction or a string "
+                            "instead")
         f = Fraction(value)
         if f < 0:
             raise ValueError(f"penalties must be non-negative, got {f}")
@@ -129,10 +132,6 @@ def as_evaluation(value) -> Evaluation:
     """
     if isinstance(value, Evaluation):
         return value
-    if isinstance(value, float):
-        raise TypeError("refusing float; pass a Fraction or a string instead")
-    if isinstance(value, str):
-        if value.strip() == "inf":
-            return INF
-        return Evaluation(Fraction(value))
-    return Evaluation(Fraction(value))
+    if isinstance(value, str) and value.strip() == "inf":
+        return INF
+    return Evaluation(value)

@@ -56,6 +56,15 @@ def parse_instance(text: str) -> Instance:
     declared: set[str] = set()
     constraints: list[SoftConstraint] = []
     last_line = 1
+    # token -> Evaluation for each valid token seen so far; Evaluations are
+    # immutable, so every later copy of a token shares the first one's value
+    evaluations: dict[str, Evaluation] = {}
+
+    def evaluation(token, lineno):
+        value = evaluations.get(token)
+        if value is None:
+            value = evaluations[token] = _parse_evaluation(token, lineno)
+        return value
 
     def known_variable(name, lineno):
         if name not in declared:
@@ -103,7 +112,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno,
                                  f"unary takes a variable and {size} evaluations")
             v = known_variable(tokens[1], lineno)
-            values = [_parse_evaluation(t, lineno) for t in tokens[2:]]
+            values = [evaluation(t, lineno) for t in tokens[2:]]
             constraints.append(SoftConstraint((v,), UnaryTable(values)))
         elif keyword == "binary":
             size = need_domain(lineno)
@@ -116,7 +125,7 @@ def parse_instance(text: str) -> Instance:
                 if t == "/":
                     rows.append([])
                 else:
-                    rows[-1].append(_parse_evaluation(t, lineno))
+                    rows[-1].append(evaluation(t, lineno))
             if len(rows) != size or any(len(r) != size for r in rows):
                 raise ParseError(lineno, f"binary table must have {size} rows "
                                  f"of {size} entries separated by '/'")
@@ -135,7 +144,7 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(lineno,
                                      f"interval bound {bound} outside 1..{size}")
                 bounds.append(bound)
-            penalty = _parse_evaluation(tokens[5], lineno)
+            penalty = evaluation(tokens[5], lineno)
             constraints.append(SoftConstraint(
                 (v, w), IntervalFunction(bounds[0], bounds[1], penalty)))
         else:

@@ -66,6 +66,37 @@ def check_constraint(constraint: SoftConstraint,
             raise NotSubmodular(witness, constraint_index=index)
 
 
+def _terms(f, m: int, repeated: bool) -> tuple:
+    """A table's interval terms, with patterns over its scope (v, w).
+    ``repeated`` says that v == w, in which case a binary table is read on
+    its diagonal only."""
+    if isinstance(f, UnaryTable):
+        return decompose_unary(f)
+    if repeated:
+        diagonal = UnaryTable([f.value_at(d, d) for d in range(1, m + 1)])
+        return decompose_unary(diagonal)
+    return decompose_binary(f).terms
+
+
+def _expand(constraint: SoftConstraint, m: int, index: int | None,
+            memo: dict) -> tuple[SoftConstraint, ...]:
+    """:func:`expand_constraint`, with each table's terms kept in ``memo``
+    under (table, repeated scope): a table seen before is neither checked
+    nor decomposed again, only routed onto this constraint's scope."""
+    f = constraint.function
+    if isinstance(f, IntervalFunction):
+        return () if f.penalty == ZERO else (constraint,)
+    v, w = constraint.scope[0], constraint.scope[-1]
+    key = (f, v == w)
+    terms = memo.get(key)
+    if terms is None:
+        try:
+            terms = memo[key] = _terms(f, m, v == w)
+        except NotSubmodular as err:
+            raise NotSubmodular(err.witness, constraint_index=index) from None
+    return tuple(_route(t, v, w) for t in terms)
+
+
 def expand_constraint(constraint: SoftConstraint, m: int,
                       index: int | None = None) -> tuple[SoftConstraint, ...]:
     """Rewrite one constraint as interval-function constraints.
@@ -75,35 +106,23 @@ def expand_constraint(constraint: SoftConstraint, m: int,
     only ever sees its diagonal, so it reduces to a unary table with no
     submodularity requirement.
     """
-    f = constraint.function
-    if isinstance(f, IntervalFunction):
-        return () if f.penalty == ZERO else (constraint,)
-    if isinstance(f, UnaryTable):
-        v = constraint.scope[0]
-        return tuple(_route(t, v, v) for t in decompose_unary(f))
-    v, w = constraint.scope
-    if v == w:
-        diagonal = UnaryTable([f.value_at(d, d) for d in range(1, m + 1)])
-        return tuple(_route(t, v, v) for t in decompose_unary(diagonal))
-    try:
-        decomposition = decompose_binary(f)
-    except NotSubmodular as err:
-        raise NotSubmodular(err.witness, constraint_index=index) from None
-    return tuple(_route(t, v, w) for t in decomposition.terms)
+    return _expand(constraint, m, index, {})
 
 
 def compile_to_intervals(instance: Instance) -> Instance:
     """An equivalent instance whose constraints are all interval functions.
 
     Pointwise equivalent: every assignment keeps its evaluation.  Raises
-    NotSubmodular, tagged with the constraint index, if a binary table
-    over two distinct variables is not submodular.
+    NotSubmodular, tagged with the index of the first constraint that holds
+    it, if a binary table over two distinct variables is not submodular.
+    Each distinct table is checked and decomposed once per call.
     """
+    m = instance.domain_size
+    memo: dict = {}
     constraints = []
     for index, c in enumerate(instance.constraints):
-        constraints.extend(expand_constraint(c, instance.domain_size, index))
-    return Instance(instance.variables, instance.domain_size,
-                    tuple(constraints))
+        constraints.extend(_expand(c, m, index, memo))
+    return Instance(instance.variables, m, tuple(constraints))
 
 
 def solve(instance: Instance) -> Solution:

@@ -56,9 +56,20 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(source),
                          "--emit-graph", str(tmp_path / "network.edges"))
         assert code == 0
-        tables = [c for c in parse_instance(source.read_text()).constraints
-                  if isinstance(c.function, BinaryTable)]
-        assert tables and len(calls) == len(tables)
+        # quadratic.scsp repeats one table three times: one decomposition
+        # per distinct table, and a second compile would make it two
+        tables = {c.function
+                  for c in parse_instance(source.read_text()).constraints
+                  if isinstance(c.function, BinaryTable)}
+        assert len(tables) == 1 and len(calls) == len(tables)
+
+    def test_emit_graph_unwritable(self, capsys, chain_file, tmp_path):
+        target = tmp_path / "missing" / "network.edges"
+        code, out, err = run(capsys, "solve", str(chain_file),
+                             "--emit-graph", str(target))
+        assert code == 1 and "evaluation = 5" in out
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
 
     def test_non_submodular_input(self, capsys, data_dir):
         code, out, _ = run(capsys, "solve", str(data_dir / "xor.scsp"))

@@ -78,6 +78,14 @@ def test_as_evaluation_coercions():
         as_evaluation("nonsense")
 
 
+def test_constructor_refuses_floats():
+    with pytest.raises(TypeError, match="refusing float"):
+        Evaluation(0.1)
+    with pytest.raises(TypeError, match="refusing float"):
+        Evaluation(2.0)
+    assert Evaluation(Fraction(1, 10)) == as_evaluation("1/10")
+
+
 def test_hash_consistency():
     assert hash(as_evaluation("4/2")) == hash(as_evaluation(2))
     assert len({INF, INF + ZERO, as_evaluation("inf")}) == 1

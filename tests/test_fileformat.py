@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import random_mixed_instance, table, unary
-from scsp import (INF, Instance, IntervalFunction, SoftConstraint,
+from scsp import (INF, Instance, IntervalFunction, SoftConstraint, abs_diff,
                   as_evaluation, format_instance, parse_instance)
 from scsp.errors import ParseError
 
@@ -110,6 +110,45 @@ class TestParseErrors:
         self.check(head + "unary a -1 0\n", 4, "bad evaluation")
         self.check(head + "unary a 1/0 0\n", 4, "zero denominator")
         self.check(head + "unary a nonsense 0\n", 4, "bad evaluation")
+
+    def test_repeated_bad_token_fails_at_its_first_line(self):
+        head = "scsp 1\ndomain 2\nvar a\nvar b\nunary a 1/2 0\n"
+        for token, fragment in (("1/0", "zero denominator"),
+                                ("1.5", "bad evaluation")):
+            self.check(head + f"unary a 1/2 {token}\n"
+                       f"binary a b 0 {token} / 0 0\n", 6, fragment)
+            self.check(head + f"binary a b 0 1 / 0 0\ngi a b 1 2 {token}\n"
+                       f"unary a {token} 0\n", 7, fragment)
+
+
+class TestRepeatedTokens:
+    def test_spellings_of_one_value(self):
+        inst = parse_instance("scsp 1\ndomain 4\nvar a\n"
+                              "unary a 01 1 2/4 1/2\n")
+        values = inst.constraints[0].function.values
+        assert values == (as_evaluation(1),) * 2 + (as_evaluation("1/2"),) * 2
+
+    def test_copies_of_a_token_share_one_value(self):
+        inst = parse_instance("scsp 1\ndomain 2\nvar a\nvar b\n"
+                              "unary a 3/4 2\nbinary a b 3/4 0 / 2 0\n")
+        (u1, u2), ((b11, _), (b21, _)) = (
+            inst.constraints[0].function.values,
+            inst.constraints[1].function.rows)
+        assert u1 is b11 and u2 is b21
+
+    def test_round_trip_with_many_repeated_tokens(self):
+        names = tuple(f"v{i}" for i in range(30))
+        grid = abs_diff(5)
+        inst = Instance(names, 5, tuple(
+            [SoftConstraint((v,), unary([0, "1/3", 2, "1/3", None]))
+             for v in names]
+            + [SoftConstraint(pair, grid) for pair in zip(names, names[1:])]
+            + [SoftConstraint((v, v), grid) for v in names[::7]]
+            + [SoftConstraint(pair, IntervalFunction(2, 4, "1/3"))
+               for pair in zip(names[::2], names[1::2])]))
+        text = format_instance(inst)
+        assert parse_instance(text) == inst
+        assert format_instance(parse_instance(text)) == text
 
 
 class TestRoundTrip:

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mixed_instance, unary
+from helpers import random_mixed_instance, random_submodular_table, unary
 import scsp.solver
-from scsp import (Instance, IntervalFunction, SoftConstraint, as_evaluation,
-                  brute_force, build_network, compile_to_intervals, evaluate,
-                  expand_constraint, parse_instance, solve, xor_penalty)
+from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
+                  as_evaluation, brute_force, build_network,
+                  compile_to_intervals, evaluate, expand_constraint,
+                  parse_instance, solve, xor_penalty)
 from scsp.errors import CutMismatch, NotSubmodular, TooLarge
 from scsp.solver import Solution, check_constraint
 
@@ -98,6 +99,69 @@ class TestCompile:
             compile_to_intervals(inst)
         assert info.value.constraint_index == 1
         assert "u=1" in str(info.value)
+
+
+class TestCompileRepeatedTables:
+    """compile_to_intervals checks and decomposes each distinct table once;
+    the compiled instance must not show it."""
+
+    @staticmethod
+    def repeated_instance():
+        t = random_submodular_table(random.Random(74), 3, inf_share=0.2)
+        # equal to t, but built separately from its text
+        copy = BinaryTable([[as_evaluation(str(v)) for v in row]
+                            for row in t.rows])
+        assert copy == t and copy is not t
+        u = unary([2, 0, None])
+        return t, Instance(("a", "b", "c"), 3, (
+            SoftConstraint(("a", "b"), t),
+            SoftConstraint(("c", "c"), t),
+            SoftConstraint(("b", "c"), t),
+            SoftConstraint(("c", "a"), copy),
+            SoftConstraint(("a", "a"), copy),
+            SoftConstraint(("a",), u),
+            SoftConstraint(("b",), unary([2, 0, None])),
+            SoftConstraint(("a", "c"), IntervalFunction(2, 3, 5)),
+            SoftConstraint(("b", "a"), copy),
+        ))
+
+    def test_equals_expanding_each_constraint(self):
+        _, inst = self.repeated_instance()
+        expected = tuple(part for index, c in enumerate(inst.constraints)
+                         for part in expand_constraint(c, 3, index))
+        compiled = compile_to_intervals(inst)
+        assert compiled == Instance(inst.variables, 3, expected)
+
+    def test_each_distinct_table_is_decomposed_once(self, monkeypatch):
+        t, inst = self.repeated_instance()
+        calls = []
+        original = scsp.solver.decompose_binary
+
+        def counting(table, *args, **kwargs):
+            calls.append(table)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(scsp.solver, "decompose_binary", counting)
+        compile_to_intervals(inst)
+        assert calls == [t]
+
+    def test_repeated_bad_table_reports_its_first_holder(self):
+        inst = Instance(("p", "q"), 2, (
+            SoftConstraint(("p", "p"), xor_penalty()),  # diagonal only: fine
+            SoftConstraint(("p",), unary([1, 2])),
+            SoftConstraint(("q", "p"), xor_penalty()),
+            SoftConstraint(("p", "q"), xor_penalty()),
+        ))
+        with pytest.raises(NotSubmodular) as info:
+            compile_to_intervals(inst)
+        assert info.value.constraint_index == 2
+
+    def test_solve_matches_brute_force(self):
+        _, inst = self.repeated_instance()
+        solution = solve(inst)
+        best = brute_force(inst).evaluation
+        assert solution.evaluation == best
+        assert evaluate(inst, solution.assignment) == best
 
 
 class TestSolve:
