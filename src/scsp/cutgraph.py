@@ -132,12 +132,11 @@ def min_cut(network: FlowNetwork) -> CutResult:
     for e, c in zip(network.edges, scaled):
         add_arc(index[e.tail], index[e.head], big if c is None else c)
 
-    flow = _dinic(n, arc_to, arc_cap, adjacency, 0, 1)
+    flow, level = _dinic(n, arc_to, arc_cap, adjacency, 0, 1)
 
-    reachable = _residual_reachable(n, arc_to, arc_cap, adjacency, 0)
-    source_side = frozenset(node for node, i in index.items() if reachable[i])
+    source_side = frozenset(node for node, i in index.items() if level[i] >= 0)
     cut_edges = tuple(i for i, e in enumerate(network.edges)
-                      if reachable[index[e.tail]] and not reachable[index[e.head]])
+                      if level[index[e.tail]] >= 0 and level[index[e.head]] < 0)
     if flow >= big:
         value = INF
     else:
@@ -146,6 +145,9 @@ def min_cut(network: FlowNetwork) -> CutResult:
 
 
 def _dinic(n, arc_to, arc_cap, adjacency, source, sink):
+    """The maximum flow value and the levels of the final breadth-first
+    search: level[u] >= 0 exactly when u is reachable from the source in
+    the final residual graph."""
     total = 0
     while True:
         level = [-1] * n
@@ -159,7 +161,7 @@ def _dinic(n, arc_to, arc_cap, adjacency, source, sink):
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[sink] < 0:
-            return total
+            return total, level
         cursor = [0] * n
         # depth-first blocking flow, iterative to keep recursion out of it
         path: list[int] = []
@@ -196,20 +198,6 @@ def _dinic(n, arc_to, arc_cap, adjacency, source, sink):
             level[u] = -1  # dead end; prune the node for this phase
             last = path.pop()
             u = arc_to[last ^ 1]
-
-
-def _residual_reachable(n, arc_to, arc_cap, adjacency, source):
-    seen = [False] * n
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for a in adjacency[u]:
-            v = arc_to[a]
-            if arc_cap[a] > 0 and not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
 
 
 def extract_assignment(network: FlowNetwork, cut: CutResult) -> dict:

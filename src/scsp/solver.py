@@ -78,16 +78,22 @@ def _terms(f, m: int, repeated: bool) -> tuple:
     return decompose_binary(f).terms
 
 
+def _key(constraint: SoftConstraint) -> tuple:
+    """What a table constraint's terms and check depend on: the table, and
+    whether the scope repeats a variable."""
+    return constraint.function, constraint.scope[0] == constraint.scope[-1]
+
+
 def _expand(constraint: SoftConstraint, m: int, index: int | None,
             memo: dict) -> tuple[SoftConstraint, ...]:
     """:func:`expand_constraint`, with each table's terms kept in ``memo``
-    under (table, repeated scope): a table seen before is neither checked
-    nor decomposed again, only routed onto this constraint's scope."""
+    under :func:`_key`: a table seen before is neither checked nor
+    decomposed again, only routed onto this constraint's scope."""
     f = constraint.function
     if isinstance(f, IntervalFunction):
         return () if f.penalty == ZERO else (constraint,)
     v, w = constraint.scope[0], constraint.scope[-1]
-    key = (f, v == w)
+    key = _key(constraint)
     terms = memo.get(key)
     if terms is None:
         try:
@@ -109,6 +115,16 @@ def expand_constraint(constraint: SoftConstraint, m: int,
     return _expand(constraint, m, index, {})
 
 
+def _expansions(instance: Instance):
+    """Each constraint, in order, with its :func:`expand_constraint`
+    rewriting; one memo serves the whole instance, so each distinct table
+    is checked and decomposed once."""
+    m = instance.domain_size
+    memo: dict = {}
+    for index, c in enumerate(instance.constraints):
+        yield c, _expand(c, m, index, memo)
+
+
 def compile_to_intervals(instance: Instance) -> Instance:
     """An equivalent instance whose constraints are all interval functions.
 
@@ -117,12 +133,9 @@ def compile_to_intervals(instance: Instance) -> Instance:
     it, if a binary table over two distinct variables is not submodular.
     Each distinct table is checked and decomposed once per call.
     """
-    m = instance.domain_size
-    memo: dict = {}
-    constraints = []
-    for index, c in enumerate(instance.constraints):
-        constraints.extend(_expand(c, m, index, memo))
-    return Instance(instance.variables, m, tuple(constraints))
+    constraints = tuple(part for _, parts in _expansions(instance)
+                        for part in parts)
+    return Instance(instance.variables, instance.domain_size, constraints)
 
 
 def solve(instance: Instance) -> Solution:

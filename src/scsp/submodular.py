@@ -250,16 +250,13 @@ def decompose_unary(table: UnaryTable) -> tuple[IntervalTerm, ...]:
                  for d, v in enumerate(table.values, 1) if v != ZERO)
 
 
-def decompose_binary(table: BinaryTable, trace=None) -> Decomposition:
+def decompose_binary(table: BinaryTable) -> Decomposition:
     """Write a submodular table as a sum of interval terms.
 
-    Raises NotSubmodular (with a witness) otherwise.  When ``trace`` is a
-    list, the residual table after each emitted term is appended to it;
-    this exists so tests can observe that intermediate residuals stay
-    submodular.
+    Raises NotSubmodular (with a witness) otherwise.
     """
     terms, grid = _run_stages(
-        table, (_strip_inconsistent, _strip_penalized, _peel), trace)
+        table, (_strip_inconsistent, _strip_penalized, _peel))
     for row in grid:
         for v in row:
             if v != 0:
@@ -273,7 +270,7 @@ def strip_inconsistent(table: BinaryTable):
     Returns (terms, residual) with table == sum(terms) + residual and the
     residual free of inconsistent lines.  Input must be submodular.
     """
-    terms, grid = _run_stages(table, (_strip_inconsistent,), None)
+    terms, grid = _run_stages(table, (_strip_inconsistent,))
     return terms, _table_from_raw(grid)
 
 
@@ -283,14 +280,14 @@ def strip_penalized(table: BinaryTable):
     Returns (terms, residual); the residual has a zero in every row and
     column.  Input must be submodular and free of inconsistent lines.
     """
-    terms, grid = _run_stages(table, (_strip_penalized,), None)
+    terms, grid = _run_stages(table, (_strip_penalized,))
     return terms, _table_from_raw(grid)
 
 
 _TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
 
 
-def _run_stages(table, stages, trace):
+def _run_stages(table, stages):
     """Check the table, then run each stage over its rows and then over its
     columns.  Returns the terms and the raw residual grid."""
     witness = find_violation(table)
@@ -299,34 +296,28 @@ def _run_stages(table, stages, trace):
     m = table.m
     grid = _raw_grid(table)
     terms = []  # (pattern, x_min, y_max, raw penalty)
-    record = None if trace is None else trace.append
     for stage in stages:
-        stage(grid, m, terms, record)
-        grid = _on_columns(stage, grid, m, terms, record)
+        stage(grid, m, terms)
+        grid = _on_columns(stage, grid, m, terms)
     return tuple(IntervalTerm(IntervalFunction(a, b, Evaluation._make(v)), p)
                  for p, a, b, v in terms), grid
 
 
-def _on_columns(stage, grid, m, terms, record):
-    """Run a row stage on the transposed grid; terms, snapshots and the
-    returned grid are turned back to the original orientation."""
+def _on_columns(stage, grid, m, terms):
+    """Run a row stage on the transposed grid; terms and the returned grid
+    are turned back to the original orientation."""
     flipped = [list(column) for column in zip(*grid)]
     column_terms = []
-    stage(flipped, m, column_terms,
-          None if record is None else lambda s: record(tuple(zip(*s))))
+    stage(flipped, m, column_terms)
     terms.extend((_TRANSPOSED[p], a, b, v) for p, a, b, v in column_terms)
     return [list(row) for row in zip(*flipped)]
-
-
-def _snapshot(grid):
-    return tuple(tuple(Evaluation._make(v) for v in row) for row in grid)
 
 
 def _inconsistent(row):
     return all(v is None for v in row)
 
 
-def _strip_inconsistent(grid, m, terms, record):
+def _strip_inconsistent(grid, m, terms):
     """Overwrite each all-infinite row with an adjacent consistent one,
     emitting an infinite "xx" term for it."""
     while True:
@@ -338,8 +329,6 @@ def _strip_inconsistent(grid, m, terms, record):
             terms.append(("xy", 1, m, None))
             for i in range(m):
                 grid[i] = [_F0] * m
-            if record is not None:
-                record(_snapshot(grid))
             return
         for a in bad:  # rows inside a block wait for a later sweep
             b = a - 1 if a > 0 and not _inconsistent(grid[a - 1]) else a + 1
@@ -349,11 +338,9 @@ def _strip_inconsistent(grid, m, terms, record):
             raise DecompositionError("no consistent row to copy from")
         terms.append(("xx", a + 1, a + 1, None))
         grid[a] = list(grid[b])
-        if record is not None:
-            record(_snapshot(grid))
 
 
-def _strip_penalized(grid, m, terms, record):
+def _strip_penalized(grid, m, terms):
     """Subtract each row's minimum, emitting an "xx" term for it.
 
     One sweep over rows and one over columns leave a zero in every line:
@@ -368,11 +355,9 @@ def _strip_penalized(grid, m, terms, record):
         if mu != 0:
             terms.append(("xx", i + 1, i + 1, mu))
             grid[i] = [None if v is None else v - mu for v in row]
-            if record is not None:
-                record(_snapshot(grid))
 
 
-def _peel(grid, m, terms, record):
+def _peel(grid, m, terms):
     """The peeling pass over rows, bottom row first, emitting "yx" terms.
 
     A term emitted at (row, col) covers every row not yet finalized, so
@@ -410,8 +395,6 @@ def _peel(grid, m, terms, record):
                 terms.append(("yx", j + 2, i + 1, delta))
                 for k in range(j + 1, m):
                     taken[k] += delta
-            if record is not None:
-                record(_peel_snapshot(grid, i, taken))
         for k, v in enumerate(row):
             if v is not None:
                 residual = v - taken[k]
@@ -420,12 +403,3 @@ def _peel(grid, m, terms, record):
                         "peeled more than a cell holds; input cannot have "
                         "been submodular")
                 row[k] = residual
-
-
-def _peel_snapshot(grid, current, taken):
-    # Materialize the true residual: rows below the current one are
-    # finalized and stored as-is, the others still owe the pending amounts.
-    return tuple(
-        tuple(Evaluation._make(v if v is None or i > current else v - t)
-              for v, t in zip(row, taken))
-        for i, row in enumerate(grid))

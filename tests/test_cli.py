@@ -13,6 +13,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, name):
+    """Replace scsp.solver.<name> by a wrapper that records its first
+    argument; returns the list of recorded arguments."""
+    calls = []
+    original = getattr(scsp.solver, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(scsp.solver, name, counting)
+    return calls
+
+
+def distinct_tables(source):
+    return {c.function for c in parse_instance(source.read_text()).constraints
+            if isinstance(c.function, BinaryTable)}
+
+
 class TestSolve:
     def test_chain(self, capsys, chain_file):
         code, out, err = run(capsys, "solve", str(chain_file))
@@ -44,24 +63,14 @@ class TestSolve:
 
     def test_emit_graph_decomposes_each_table_once(self, capsys, data_dir,
                                                   tmp_path, monkeypatch):
-        calls = []
-        original = scsp.solver.decompose_binary
-
-        def counting(table, *args, **kwargs):
-            calls.append(table)
-            return original(table, *args, **kwargs)
-
-        monkeypatch.setattr(scsp.solver, "decompose_binary", counting)
+        calls = count_calls(monkeypatch, "decompose_binary")
         source = data_dir / "quadratic.scsp"
         code, _, _ = run(capsys, "solve", str(source),
                          "--emit-graph", str(tmp_path / "network.edges"))
         assert code == 0
         # quadratic.scsp repeats one table three times: one decomposition
         # per distinct table, and a second compile would make it two
-        tables = {c.function
-                  for c in parse_instance(source.read_text()).constraints
-                  if isinstance(c.function, BinaryTable)}
-        assert len(tables) == 1 and len(calls) == len(tables)
+        assert len(distinct_tables(source)) == 1 and len(calls) == 1
 
     def test_emit_graph_unwritable(self, capsys, chain_file, tmp_path):
         target = tmp_path / "missing" / "network.edges"
@@ -94,11 +103,40 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0 and out.strip() == "submodular"
 
+    def test_checks_each_table_once(self, capsys, data_dir, monkeypatch):
+        calls = count_calls(monkeypatch, "find_violation")
+        source = data_dir / "quadratic.scsp"
+        code, out, _ = run(capsys, "check", str(source))
+        assert code == 0 and out.strip() == "submodular"
+        # quadratic.scsp repeats one table three times
+        assert len(distinct_tables(source)) == 1 and len(calls) == 1
+
+    def test_repeated_table_reports_first_distinct_scope(self, capsys,
+                                                         tmp_path):
+        # the xor table on (p, p) is exempt; its copy on (p, q) is not
+        path = tmp_path / "xor2.scsp"
+        path.write_text("scsp 1\ndomain 2\nvar p\nvar q\n"
+                        "binary p p 1 0 / 0 1\n"
+                        "binary p q 1 0 / 0 1\n"
+                        "binary q p 1 0 / 0 1\n")
+        for command in ("check", "decompose", "solve"):
+            code, out, _ = run(capsys, command, str(path))
+            assert code == 2 and out.splitlines()[-1] == \
+                "not submodular: constraint 1 witness u=1 v=1 x=2 y=2"
+
 
 class TestDecompose:
     def test_chain_has_no_tables(self, capsys, chain_file):
         code, out, _ = run(capsys, "decompose", str(chain_file))
         assert code == 0 and out == ""
+
+    def test_decomposes_each_table_once(self, capsys, data_dir, monkeypatch):
+        calls = count_calls(monkeypatch, "decompose_binary")
+        source = data_dir / "quadratic.scsp"
+        code, out, _ = run(capsys, "decompose", str(source))
+        assert code == 0 and out
+        # quadratic.scsp repeats one table three times
+        assert len(distinct_tables(source)) == 1 and len(calls) == 1
 
     def test_terms_reparse_to_equivalent_instance(self, capsys, data_dir,
                                                   tmp_path):

@@ -151,6 +151,51 @@ class TestMinCut:
                 assignment = extract_assignment(net, cut)
                 assert evaluate(inst, assignment) == best.evaluation
 
+    def test_matches_networkx_max_flow(self):
+        # An oracle independent of Dinic: networkx's maximum flow, then the
+        # nodes reachable from S in its residual graph.  That set is the
+        # same for every maximum flow, so it pins the source side too.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(66)
+        finite = 0
+        for _ in range(250):
+            net = build_network(random_gi_instance(rng))
+            cut = min_cut(net)
+            capacity = {}  # parallel edges merged
+            for e in net.edges:
+                if e.tail != e.head:
+                    key = (e.tail, e.head)
+                    capacity[key] = capacity.get(key, ZERO) + e.capacity
+            graph = nx.DiGraph()
+            graph.add_nodes_from(net.nodes)
+            for (u, v), c in capacity.items():
+                if c.is_infinite:
+                    graph.add_edge(u, v)  # no capacity: unbounded
+                else:
+                    graph.add_edge(u, v, capacity=c.fraction)
+            try:
+                value, flow = nx.maximum_flow(graph, SOURCE, SINK)
+            except nx.NetworkXUnbounded:
+                assert cut.value.is_infinite
+                continue
+            finite += 1
+            assert as_evaluation(value) == cut.value
+            residual = {}
+            for (u, v), c in capacity.items():
+                if c.is_infinite or flow[u][v] < c.fraction:
+                    residual.setdefault(u, []).append(v)
+                if flow[u][v] > 0:
+                    residual.setdefault(v, []).append(u)
+            reachable = {SOURCE}
+            queue = deque([SOURCE])
+            while queue:
+                for v in residual.get(queue.popleft(), ()):
+                    if v not in reachable:
+                        reachable.add(v)
+                        queue.append(v)
+            assert cut.source_side == reachable
+        assert finite > 100
+
 
 class TestCutFromAssignment:
     def test_chain_optimal_assignment(self, chain_text):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from scsp import (INF, BinaryTable, Decomposition, DomainError,
+from scsp import (INF, Decomposition, DomainError,
                   IntervalFunction, IntervalTerm, NotSubmodular,
                   ParameterError, SubmodularityWitness, TooLarge, abs_diff,
                   as_evaluation, decompose_binary, decompose_unary, delay,
@@ -440,17 +440,20 @@ class TestDecomposeBinary:
         # infinite term anchored at (2, 2) would also cover the finite 5.
         grid = [[Fraction(0), Fraction(5)], [Fraction(0), None]]
         with pytest.raises(DecompositionError, match="finite cell"):
-            _peel(grid, 2, [], None)
+            _peel(grid, 2, [])
 
-    def test_intermediate_residuals_stay_submodular(self):
+    def test_remaining_terms_sum_to_submodular_tables(self):
+        # After each emitted term, the residual left to decompose is the
+        # sum of the terms still to come; every such suffix sum must stay
+        # submodular, down to the empty one.
         rng = random.Random(79)
         for _ in range(25):
             m = rng.randint(2, 5)
             t = random_submodular_table(rng, m, inf_share=0.25)
-            trace = []
-            decompose_binary(t, trace=trace)
-            for snapshot in trace:
-                assert is_submodular(BinaryTable(snapshot))
+            terms = decompose_binary(t).terms
+            assert reconstruct(terms, m) == t
+            for k in range(len(terms) + 1):
+                assert is_submodular(reconstruct(terms[k:], m))
 
 
 def test_zero_anchored_column_bound():
