@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed input, 2 a binary table constraint is
-not submodular, 3 the brute-force oracle refused an oversized instance.
+not submodular, 3 an oversized instance: too many assignments for the
+brute-force oracle, or too many level nodes for the flow network.
 """
 
 from __future__ import annotations

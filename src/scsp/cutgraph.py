@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, ScopeError, WrongConstraintKind
+from .errors import DomainError, ScopeError, TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation
 from .functions import IntervalFunction
 from .model import Instance
 
 SOURCE = "S"
 SINK = "T"
+
+NETWORK_GUARD = 10 ** 6  # most level nodes build_network will allocate
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,14 @@ def build_network(instance: Instance) -> FlowNetwork:
     """Translate an interval-constraint instance into its flow network.
 
     Zero-penalty constraints contribute no edge; parallel edges from
-    duplicate constraints are kept separate.
+    duplicate constraints are kept separate.  Raises TooLarge, before
+    allocating anything, when there would be more than NETWORK_GUARD level
+    nodes.
     """
     m = instance.domain_size
+    if len(instance.variables) * (m + 1) > NETWORK_GUARD:
+        raise TooLarge(f"{len(instance.variables)} chains of {m + 1} level "
+                       "nodes exceed the network guard")
     edges = []
     for v in instance.variables:
         edges.append(FlowEdge(SOURCE, (v, m), INF, None))

@@ -49,7 +49,8 @@ class GadgetMismatch(ScspError):
 
 
 class TooLarge(ScspError):
-    """An enumeration guard tripped; the request would take too long."""
+    """A size guard tripped; the request would take too long or need too
+    much memory."""
 
 
 class WrongConstraintKind(ScspError):

@@ -10,11 +10,13 @@ drift.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import PreconditionViolated
 
 
+@functools.total_ordering
 class Evaluation:
     """A penalty: an exact non-negative rational, or infinity.
 
@@ -93,21 +95,6 @@ class Evaluation:
         if other._value is None:
             return True
         return self._value < other._value
-
-    def __le__(self, other):
-        if not isinstance(other, Evaluation):
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other):
-        if not isinstance(other, Evaluation):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other):
-        if not isinstance(other, Evaluation):
-            return NotImplemented
-        return other <= self
 
     def __hash__(self):
         return hash(self._value) if self._value is not None else hash("inf")

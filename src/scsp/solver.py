@@ -40,14 +40,11 @@ class Solution:
 
 
 def _route(term, v, w) -> SoftConstraint:
-    if term.pattern == "xy":
-        scope = (v, w)
-    elif term.pattern == "yx":
-        scope = (w, v)
-    elif term.pattern == "xx":
-        scope = (v, v)
-    else:
-        scope = (w, w)
+    """The term on scope (v, w): "xy" on (v, w), "xx" on (v, v), and the
+    "y" patterns the same with v and w swapped."""
+    if term.pattern[0] == "y":
+        v, w = w, v
+    scope = (v, v) if term.pattern in ("xx", "yy") else (v, w)
     return SoftConstraint(scope, term.interval)
 
 

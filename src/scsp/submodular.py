@@ -229,14 +229,12 @@ def reconstruct(terms, m: int) -> BinaryTable:
             raise DomainError(
                 f"interval bounds ({f.x_min}, {f.y_max}) exceed domain size {m}")
         p = f.penalty
-        if term.pattern == "xy":      # charges x >= x_min, y <= y_max
+        if term.pattern in ("xy", "yx"):  # "xy" charges x >= x_min, y <= y_max
             rows, cols = range(f.x_min - 1, m), range(0, f.y_max)
-        elif term.pattern == "yx":    # charges y >= x_min, x <= y_max
-            rows, cols = range(0, f.y_max), range(f.x_min - 1, m)
-        elif term.pattern == "xx":    # charges x in [x_min, y_max]
+        else:                             # "xx" charges x in [x_min, y_max]
             rows, cols = range(f.x_min - 1, f.y_max), range(0, m)
-        else:                         # "yy": charges y in [x_min, y_max]
-            rows, cols = range(0, m), range(f.x_min - 1, f.y_max)
+        if term.pattern[0] == "y":        # "yx", "yy": the same on (y, x)
+            rows, cols = cols, rows
         for i in rows:
             row = grid[i]
             for j in cols:
@@ -319,25 +317,23 @@ def _inconsistent(row):
 
 def _strip_inconsistent(grid, m, terms):
     """Overwrite each all-infinite row with an adjacent consistent one,
-    emitting an infinite "xx" term for it."""
-    while True:
-        bad = [i for i in range(m) if _inconsistent(grid[i])]
-        if not bad:
-            return
-        if len(bad) == m:
-            # The whole table is infinite; one blanket term covers it.
-            terms.append(("xy", 1, m, None))
-            for i in range(m):
-                grid[i] = [_F0] * m
-            return
-        for a in bad:  # rows inside a block wait for a later sweep
-            b = a - 1 if a > 0 and not _inconsistent(grid[a - 1]) else a + 1
-            if b < m and not _inconsistent(grid[b]):
-                break
-        else:
-            raise DecompositionError("no consistent row to copy from")
-        terms.append(("xx", a + 1, a + 1, None))
-        grid[a] = list(grid[b])
+    emitting an infinite "xx" term for it: the rows above the first
+    consistent row bottom-up, each from the row below, then every later
+    one from the row above."""
+    first = next((i for i in range(m) if not _inconsistent(grid[i])), None)
+    if first is None:
+        # The whole table is infinite; one blanket term covers it.
+        terms.append(("xy", 1, m, None))
+        for i in range(m):
+            grid[i] = [_F0] * m
+        return
+    for i in range(first - 1, -1, -1):
+        terms.append(("xx", i + 1, i + 1, None))
+        grid[i] = list(grid[i + 1])
+    for i in range(first + 1, m):
+        if _inconsistent(grid[i]):
+            terms.append(("xx", i + 1, i + 1, None))
+            grid[i] = list(grid[i - 1])
 
 
 def _strip_penalized(grid, m, terms):

@@ -5,6 +5,7 @@ import pytest
 import scsp.solver
 from scsp import BinaryTable, parse_instance
 from scsp.cli import main
+from scsp.cutgraph import NETWORK_GUARD
 
 
 def run(capsys, *argv):
@@ -169,6 +170,14 @@ class TestOracle:
         path.write_text("".join(line + "\n" for line in lines))
         code, out, _ = run(capsys, "oracle", str(path))
         assert code == 3 and out.strip() == "too large"
+
+
+@pytest.mark.parametrize("command", ["solve", "graph"])
+def test_network_guard_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "wide.scsp"
+    path.write_text(f"scsp 1\ndomain {NETWORK_GUARD}\nvar v\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3 and out.strip() == "too large" and err == ""
 
 
 class TestGraph:

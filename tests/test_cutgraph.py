@@ -10,8 +10,9 @@ from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, Instance,
                   IntervalFunction, SoftConstraint, as_evaluation,
                   brute_force, build_network, compile_to_intervals,
                   cut_from_assignment, evaluate, extract_assignment,
-                  format_network, min_cut, parse_instance)
-from scsp.errors import DomainError, ScopeError, WrongConstraintKind
+                  format_network, min_cut, parse_instance, solve)
+from scsp.cutgraph import NETWORK_GUARD
+from scsp.errors import DomainError, ScopeError, TooLarge, WrongConstraintKind
 
 
 def reaches_sink_avoiding(network, cut_edges):
@@ -70,6 +71,20 @@ class TestBuildNetwork:
                         (SoftConstraint(("p", "q"), xor_penalty()),))
         with pytest.raises(WrongConstraintKind):
             build_network(inst)
+
+    def test_guard_refuses_oversized_networks(self):
+        # one variable at domain NETWORK_GUARD needs NETWORK_GUARD + 1 nodes
+        inst = Instance(("v",), NETWORK_GUARD, ())
+        with pytest.raises(TooLarge):
+            build_network(inst)
+        with pytest.raises(TooLarge):
+            solve(inst)
+
+    def test_guard_counts_level_nodes(self, monkeypatch):
+        monkeypatch.setattr("scsp.cutgraph.NETWORK_GUARD", 10)
+        assert len(build_network(Instance(("a", "b"), 4, ())).nodes) == 2 + 10
+        with pytest.raises(TooLarge):
+            build_network(Instance(("a", "b"), 5, ()))
 
 
 class TestMinCut:

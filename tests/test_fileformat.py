@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_mixed_instance, table, unary
 from scsp import (INF, Instance, IntervalFunction, SoftConstraint, abs_diff,
@@ -177,3 +179,31 @@ class TestRoundTrip:
         assert "binary a b 1/2 0 / 3 7/2" in text
         assert "gi b a 1 2 inf" in text
         assert parse_instance(text) == inst
+
+
+# Texts whose lines join a head (a directive, with its names) and tokens
+# from the format's own vocabulary plus tokens near its edges: a zero
+# denominator, a superscript digit, a leading zero, a decimal point and a
+# number too long for a machine word.  The prefixes declare a domain and
+# variables, so that many lines reach the evaluation and bound parsers.
+_PREFIXES = ("", "scsp 1\n", "scsp 1\ndomain 2\nvar a\nvar b\n")
+_HEADS = ("", "scsp 1", "domain", "var a", "unary a", "binary a b",
+          "gi a b")
+_TOKENS = ("a", "b", "/", "#", "inf", "1/0", "\u00b2", "01", "1.5", "0",
+           "1", "2", "1" + "0" * 29)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_PREFIXES),
+       st.lists(st.tuples(st.sampled_from(_HEADS),
+                          st.lists(st.sampled_from(_TOKENS), max_size=6)),
+                max_size=4))
+def test_fuzzed_text_parses_or_raises_parse_error(prefix, lines):
+    text = prefix + "".join(" ".join((head, *tokens)) + "\n"
+                            for head, tokens in lines)
+    try:
+        inst = parse_instance(text)
+    except ParseError:
+        return
+    assert isinstance(inst, Instance)
+    assert parse_instance(format_instance(inst)) == inst

@@ -428,7 +428,15 @@ class TestDecomposeBinary:
             ("xy", 4, 3, "inf"), ("xy", 3, 2, "inf"), ("xy", 4, 2, "inf"),
             ("xy", 3, 1, "inf"), ("xy", 4, 1, "inf"),
         ]),
-    ], ids=["product_complement", "delay", "infinite_row_and_column"])
+        # rows 1, 2 and 4 are all infinite: the block above row 3 is filled
+        # bottom-up, then row 4 from the row above
+        (table([[None] * 4, [None] * 4, [0, 1, 2, None], [None] * 4]), [
+            ("xx", 2, 2, "inf"), ("xx", 1, 1, "inf"), ("xx", 4, 4, "inf"),
+            ("yy", 4, 4, "inf"), ("yy", 2, 2, "1"), ("yy", 3, 3, "2"),
+            ("yy", 4, 4, "2"),
+        ]),
+    ], ids=["product_complement", "delay", "infinite_row_and_column",
+            "infinite_row_blocks"])
     def test_emitted_term_order(self, t, expected):
         got = [(term.pattern, term.interval.x_min, term.interval.y_max,
                 str(term.interval.penalty))
