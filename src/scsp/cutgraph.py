@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, ScopeError, TooLarge, WrongConstraintKind
+from .errors import TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation
 from .functions import IntervalFunction
-from .model import Instance
+from .model import Instance, check_assignment
 
 SOURCE = "S"
 SINK = "T"
@@ -231,14 +231,10 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
     exactly when the constraint charges the assignment, so the cut weight
     equals the assignment's evaluation.
     """
+    check_assignment(Instance(network.variables, network.m, ()), assignment)
     side = {SOURCE}
     for v in network.variables:
-        if v not in assignment:
-            raise ScopeError(f"assignment missing variable {v!r}")
-        t = assignment[v]
-        if not isinstance(t, int) or not 1 <= t <= network.m:
-            raise DomainError(f"value {t!r} for {v!r} outside 1..{network.m}")
-        side.update((v, d) for d in range(t, network.m + 1))
+        side.update((v, d) for d in range(assignment[v], network.m + 1))
     cut_edges = tuple(i for i, e in enumerate(network.edges)
                       if e.tail in side and e.head not in side)
     value = ZERO

@@ -28,11 +28,11 @@ and "yx" terms as "xy":
 
 Stage 3 keeps, per pass, a running array of finite amounts already peeled
 from each position, so a line is only rewritten once, when it is finished.
-Infinite terms cannot use that bookkeeping (nothing cancels an infinity),
-but whenever an infinite residual is emitted the whole rectangle it covers
-is infinite, so the term is instead cancelled by zeroing the single cell
-that triggered it.  After both passes the residual must be identically
-zero; anything else raises DecompositionError.
+An infinite term covers every unfinished line from its anchor on, so the
+pass keeps just the first position so covered: the zero search stops short
+of it, and each finished line must be infinite from there on and is zeroed
+there.  After both passes the residual must be identically zero; anything
+else raises DecompositionError.
 
 Internally a table cell is a plain Fraction, or None for infinity; the
 inner loops run hot enough under decomposition-heavy workloads that the
@@ -357,41 +357,41 @@ def _peel(grid, m, terms):
     """The peeling pass over rows, bottom row first, emitting "yx" terms.
 
     A term emitted at (row, col) covers every row not yet finalized, so
-    the amounts peeled so far are kept in ``taken`` and only applied to a
-    row's stored entries once, when the row is done.
+    the finite amounts peeled so far are kept in ``taken`` and only applied
+    to a row's stored entries once, when the row is done.  An infinite term
+    lowers ``end``, the first column it covers, to its anchor: the zero search
+    stops short of ``end``, and a finished row must be infinite from there on.
     """
     taken = [_F0] * m  # taken[j]: finite amount pending in column j
+    end = m
     for i in range(m - 1, -1, -1):
         row = grid[i]
         while True:
-            # the zero closest to the end of the row (None is never zero)
-            j = m - 1
+            # the zero closest to end (None is never zero)
+            j = end - 1
             while j >= 0 and row[j] != taken[j]:
                 j -= 1
-            if j == m - 1:
+            if j == end - 1:
                 break
             if j < 0:
                 raise DecompositionError("no zero anchor while peeling")
             anchor = row[j + 1]
             if anchor is None:
                 terms.append(("yx", j + 2, i + 1, None))
-                # No finite bookkeeping can cancel an infinite term; it is
-                # sound to cancel it at its anchor cell alone because the
-                # whole rectangle it covers is infinite.
-                if any(v is not None for r in grid[:i + 1] for v in r[j + 1:]):
-                    raise DecompositionError(
-                        "finite cell under an infinite term")
-                row[j + 1] = taken[j + 1]
-            else:
-                delta = anchor - taken[j + 1]
-                if delta < 0:
-                    raise PreconditionViolated(
-                        "peeled more than a cell holds; input cannot have "
-                        "been submodular")
-                terms.append(("yx", j + 2, i + 1, delta))
-                for k in range(j + 1, m):
-                    taken[k] += delta
-        for k, v in enumerate(row):
+                end = j + 1
+                break
+            delta = anchor - taken[j + 1]
+            if delta < 0:
+                raise PreconditionViolated(
+                    "peeled more than a cell holds; input cannot have "
+                    "been submodular")
+            terms.append(("yx", j + 2, i + 1, delta))
+            for k in range(j + 1, end):
+                taken[k] += delta
+        if any(v is not None for v in row[end:]):
+            raise DecompositionError("finite cell under an infinite term")
+        row[end:] = [_F0] * (m - end)
+        for k, v in enumerate(row[:end]):
             if v is not None:
                 residual = v - taken[k]
                 if residual < 0:

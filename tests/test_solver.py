@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_mixed_instance, random_submodular_table, unary
 import scsp.solver
 from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
-                  as_evaluation, brute_force, build_network,
-                  compile_to_intervals, evaluate, expand_constraint,
-                  parse_instance, solve, xor_penalty)
+                  arith_relation, as_evaluation, brute_force, build_network,
+                  compile_to_intervals, crisp_relation, delay, evaluate,
+                  expand_constraint, parse_instance, solve, xor_penalty)
 from scsp.errors import CutMismatch, NotSubmodular, TooLarge
 from scsp.solver import Solution, check_constraint
 
@@ -226,6 +228,65 @@ class TestSolve:
             best = brute_force(inst)
             assert sol.evaluation == best.evaluation
             assert evaluate(inst, sol.assignment) == best.evaluation
+
+
+def _lattice_closure(pairs):
+    """The smallest superset closed under componentwise min and max; its
+    crisp table is submodular."""
+    closed = set(pairs)
+    while True:
+        more = {(f(a[0], b[0]), f(a[1], b[1])) for a in closed for b in closed
+                for f in (min, max)} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+@st.composite
+def submodular_instances(draw):
+    """Up to 4 variables over 1..M, 2 <= M <= 4: unary tables with coprime
+    denominators and submodular binary tables, some on a repeated scope."""
+    m = draw(st.integers(2, 4))
+    names = tuple(f"x{i}" for i in range(draw(st.integers(1, 4))))
+    finite = st.builds(Fraction, st.integers(0, 9),
+                       st.sampled_from((1, 2, 3, 5)))
+    value = st.one_of(finite, finite, finite, st.none())
+    ratio = st.builds(Fraction, st.integers(1, 4), st.sampled_from((1, 2, 3)))
+    point = st.integers(1, m)
+    random_table = st.integers(0, 2 ** 32).map(
+        lambda seed: random_submodular_table(random.Random(seed), m))
+    binary = st.one_of(
+        random_table, random_table,
+        st.builds(delay, st.just(m), st.integers(1, 2)),
+        st.builds(arith_relation, st.just(m),
+                  st.sampled_from(("leq", "geq", "eq")), ratio,
+                  st.just(0) | ratio, st.just(0) | ratio),
+        st.sets(st.tuples(point, point), min_size=1).map(
+            lambda pairs: crisp_relation(m, 2, _lattice_closure(pairs))))
+    constraints = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(("pair", "pair", "unary", "repeated")))
+        if kind == "unary":
+            t = unary(draw(st.lists(value, min_size=m, max_size=m)))
+            constraints.append(SoftConstraint((v,), t))
+            continue
+        others = [w for w in names if w != v]
+        w = v if kind == "repeated" or not others else draw(
+            st.sampled_from(others))
+        constraints.append(SoftConstraint((v, w), draw(binary)))
+    return Instance(names, m, tuple(constraints))
+
+
+@settings(max_examples=100, deadline=None)
+@example(Instance(("x0", "x1"), 3, (
+    SoftConstraint(("x0", "x1"), delay(3)),
+    SoftConstraint(("x1", "x0"), crisp_relation(3, 2, ())))))  # all infinite
+@given(submodular_instances())
+def test_solve_matches_brute_force_on_drawn_instances(inst):
+    sol = solve(inst)
+    assert evaluate(inst, sol.assignment) == sol.evaluation
+    assert sol.evaluation == brute_force(inst).evaluation
 
 
 class TestBruteForce:

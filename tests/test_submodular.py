@@ -7,11 +7,12 @@ import pytest
 from scsp import (INF, Decomposition, DomainError,
                   IntervalFunction, IntervalTerm, NotSubmodular,
                   ParameterError, SubmodularityWitness, TooLarge, abs_diff,
-                  as_evaluation, decompose_binary, decompose_unary, delay,
-                  equality_penalty, find_kary_violation, find_violation,
-                  find_violation_full, is_submodular, product_complement,
-                  reconstruct, strip_inconsistent, strip_penalized,
-                  term_table, tightness, xor_penalty)
+                  arith_relation, as_evaluation, decompose_binary,
+                  decompose_unary, delay, equality_penalty,
+                  find_kary_violation, find_violation, find_violation_full,
+                  is_submodular, product_complement, reconstruct,
+                  strip_inconsistent, strip_penalized, term_table,
+                  tightness, xor_penalty)
 from helpers import (kary_dict, perturb_entry, random_submodular_table, table,
                      unary)
 from scsp.errors import DecompositionError
@@ -413,8 +414,7 @@ class TestDecomposeBinary:
             ("xy", 2, 1, "1"), ("xy", 3, 1, "1"),
         ]),
         (delay(4, 2), [
-            ("yx", 4, 3, "inf"), ("yx", 3, 2, "inf"), ("yx", 4, 2, "inf"),
-            ("yx", 2, 1, "inf"), ("yx", 3, 1, "inf"), ("yx", 4, 1, "inf"),
+            ("yx", 4, 3, "inf"), ("yx", 3, 2, "inf"), ("yx", 2, 1, "inf"),
             ("xy", 4, 3, "1"), ("xy", 3, 2, "1"), ("xy", 4, 2, "2"),
             ("xy", 2, 1, "1"), ("xy", 3, 1, "2"), ("xy", 4, 1, "2"),
         ]),
@@ -425,8 +425,7 @@ class TestDecomposeBinary:
                 [None, None, None, 0]]), [
             ("xx", 2, 2, "inf"), ("yy", 2, 2, "inf"),
             ("yx", 4, 3, "1"), ("yx", 3, 2, "1"),
-            ("xy", 4, 3, "inf"), ("xy", 3, 2, "inf"), ("xy", 4, 2, "inf"),
-            ("xy", 3, 1, "inf"), ("xy", 4, 1, "inf"),
+            ("xy", 4, 3, "inf"), ("xy", 3, 2, "inf"),
         ]),
         # rows 1, 2 and 4 are all infinite: the block above row 3 is filled
         # bottom-up, then row 4 from the row above
@@ -442,6 +441,18 @@ class TestDecomposeBinary:
                 str(term.interval.penalty))
                for term in decompose_binary(t).terms]
         assert got == expected
+
+    @pytest.mark.parametrize("build", [
+        lambda m: delay(m), lambda m: delay(m, 2),
+        lambda m: arith_relation(m, "leq", 1, 1),
+        lambda m: arith_relation(m, "geq", 1, 1),
+    ], ids=["delay", "delay_squared", "leq", "geq"])
+    def test_infinite_staircase_costs_one_term_per_step(self, build):
+        for m in range(1, 13):
+            t = build(m)
+            terms = decompose_binary(t).terms
+            assert sum(term.interval.penalty == INF for term in terms) == m - 1
+            assert reconstruct(terms, m) == t
 
     def test_finite_cell_under_an_infinite_term(self):
         # Not submodular, so only a direct call reaches the peel: the
