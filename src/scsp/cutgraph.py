@@ -103,52 +103,31 @@ def min_cut(network: FlowNetwork) -> CutResult:
     is the set of nodes reachable from the source in the final residual
     graph, which makes the answer deterministic.
     """
-    index = {SOURCE: 0, SINK: 1}
-    for node in network.nodes[2:]:
-        index[node] = len(index)
-    n = len(index)
-
-    scale = 1
-    for e in network.edges:
-        if not e.capacity.is_infinite:
-            scale = lcm(scale, e.capacity.fraction.denominator)
-    finite_total = 0
-    scaled = []
-    for e in network.edges:
-        if e.capacity.is_infinite:
-            scaled.append(None)
-        else:
-            c = int(e.capacity.fraction * scale)
-            scaled.append(c)
-            finite_total += c
-    big = finite_total + 1
+    nodes = network.nodes
+    index = {node: i for i, node in enumerate(nodes)}
+    finite = [e.capacity.fraction for e in network.edges
+              if not e.capacity.is_infinite]
+    scale = lcm(*(f.denominator for f in finite))
+    big = sum(f.numerator * (scale // f.denominator) for f in finite) + 1
 
     # adjacency as arc lists; arc i and i^1 are a residual pair
     arc_to: list[int] = []
     arc_cap: list[int] = []
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(u, v, c):
+    adjacency: list[list[int]] = [[] for _ in nodes]
+    for e in network.edges:
+        u, v = index[e.tail], index[e.head]
+        cap = e.capacity
+        c = big if cap.is_infinite else (
+            cap.fraction.numerator * (scale // cap.fraction.denominator))
         adjacency[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(c)
-        adjacency[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0)
+        adjacency[v].append(len(arc_to) + 1)
+        arc_to += (v, u)
+        arc_cap += (c, 0)
 
-    for e, c in zip(network.edges, scaled):
-        add_arc(index[e.tail], index[e.head], big if c is None else c)
-
-    flow, level = _dinic(n, arc_to, arc_cap, adjacency, 0, 1)
-
-    source_side = frozenset(node for node, i in index.items() if level[i] >= 0)
-    cut_edges = tuple(i for i, e in enumerate(network.edges)
-                      if level[index[e.tail]] >= 0 and level[index[e.head]] < 0)
-    if flow >= big:
-        value = INF
-    else:
-        value = Evaluation(Fraction(flow, scale))
-    return CutResult(value, source_side, cut_edges)
+    flow, level = _dinic(len(nodes), arc_to, arc_cap, adjacency, 0, 1)
+    side = frozenset(node for node, d in zip(nodes, level) if d >= 0)
+    value = INF if flow >= big else Evaluation(Fraction(flow, scale))
+    return CutResult(value, side, _leaving(network, side))
 
 
 def _dinic(n, arc_to, arc_cap, adjacency, source, sink):
@@ -235,12 +214,17 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
     side = {SOURCE}
     for v in network.variables:
         side.update((v, d) for d in range(assignment[v], network.m + 1))
-    cut_edges = tuple(i for i, e in enumerate(network.edges)
-                      if e.tail in side and e.head not in side)
+    cut_edges = _leaving(network, side)
     value = ZERO
     for i in cut_edges:
         value = value + network.edges[i].capacity
     return CutResult(value, frozenset(side), cut_edges)
+
+
+def _leaving(network: FlowNetwork, side) -> tuple[int, ...]:
+    """Indices of the edges whose tail is in ``side`` and head is not."""
+    return tuple(i for i, e in enumerate(network.edges)
+                 if e.tail in side and e.head not in side)
 
 
 def _node_name(node) -> str:

@@ -9,15 +9,15 @@
 
 Tokens are whitespace-separated; ``#`` starts a comment.  Evaluations are
 decimal integers, ``p/q`` rationals, or ``inf``; numbers use the ASCII
-digits 0-9 only.  Parsing and printing round-trip:
-parse(format_instance(inst)) == inst.
+digits 0-9 only.  parse(format_instance(inst)) == inst when each variable
+name is a str token without ``#``; format_instance refuses other names.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .evaluation import Evaluation, as_evaluation
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint
@@ -59,6 +59,10 @@ def parse_instance(text: str) -> Instance:
     # token -> Evaluation for each valid token seen so far; Evaluations are
     # immutable, so every later copy of a token shares the first one's value
     evaluations: dict[str, Evaluation] = {}
+
+    # (directive, body tokens) -> table for each valid table line so far;
+    # tables are immutable, so every repeated line shares the first's object
+    tables: dict[tuple, UnaryTable | BinaryTable] = {}
 
     def evaluation(token, lineno):
         value = evaluations.get(token)
@@ -112,24 +116,32 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno,
                                  f"unary takes a variable and {size} evaluations")
             v = known_variable(tokens[1], lineno)
-            values = [evaluation(t, lineno) for t in tokens[2:]]
-            constraints.append(SoftConstraint((v,), UnaryTable(values)))
+            key = (keyword, tuple(tokens[2:]))
+            table = tables.get(key)
+            if table is None:
+                values = [evaluation(t, lineno) for t in tokens[2:]]
+                table = tables[key] = UnaryTable(values)
+            constraints.append(SoftConstraint((v,), table))
         elif keyword == "binary":
             size = need_domain(lineno)
             if len(tokens) < 3:
                 raise ParseError(lineno, "binary takes two variables and a table")
             v = known_variable(tokens[1], lineno)
             w = known_variable(tokens[2], lineno)
-            rows: list[list[Evaluation]] = [[]]
-            for t in tokens[3:]:
-                if t == "/":
-                    rows.append([])
-                else:
-                    rows[-1].append(evaluation(t, lineno))
-            if len(rows) != size or any(len(r) != size for r in rows):
-                raise ParseError(lineno, f"binary table must have {size} rows "
-                                 f"of {size} entries separated by '/'")
-            constraints.append(SoftConstraint((v, w), BinaryTable(rows)))
+            key = (keyword, tuple(tokens[3:]))
+            table = tables.get(key)
+            if table is None:
+                rows: list[list[Evaluation]] = [[]]
+                for t in tokens[3:]:
+                    if t == "/":
+                        rows.append([])
+                    else:
+                        rows[-1].append(evaluation(t, lineno))
+                if len(rows) != size or any(len(r) != size for r in rows):
+                    raise ParseError(lineno, f"binary table must have {size} "
+                                     f"rows of {size} entries separated by '/'")
+                table = tables[key] = BinaryTable(rows)
+            constraints.append(SoftConstraint((v, w), table))
         elif keyword == "gi":
             size = need_domain(lineno)
             if len(tokens) != 6:
@@ -172,6 +184,9 @@ def format_constraint(constraint: SoftConstraint) -> str:
 
 def format_instance(instance: Instance) -> str:
     """Canonical text for an instance; inverse of :func:`parse_instance`."""
+    for v in instance.variables:
+        if not (isinstance(v, str) and v.split() == [v] and "#" not in v):
+            raise ParameterError(f"variable name {v!r} cannot round-trip")
     lines = ["scsp 1", f"domain {instance.domain_size}"]
     lines.extend(f"var {v}" for v in instance.variables)
     lines.extend(format_constraint(c) for c in instance.constraints)

@@ -56,13 +56,14 @@ class IntervalFunction:
 class UnaryTable:
     """Explicit penalty table for one variable; entry d is the cost of d."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_hash")
 
     def __init__(self, values):
         vals = tuple(as_evaluation(v) for v in values)
         if not vals:
             raise ParameterError("unary table needs at least one entry")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @property
     def m(self) -> int:
@@ -86,7 +87,9 @@ class UnaryTable:
         return isinstance(other, UnaryTable) and self.values == other.values
 
     def __hash__(self):
-        return hash(self.values)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.values))
+        return self._hash
 
     def __repr__(self):
         return f"UnaryTable([{', '.join(str(v) for v in self.values)}])"
@@ -99,7 +102,7 @@ class BinaryTable:
     through :meth:`value_at`.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_hash")
 
     def __init__(self, rows):
         grid = tuple(tuple(as_evaluation(v) for v in row) for row in rows)
@@ -109,6 +112,7 @@ class BinaryTable:
         if any(len(row) != m for row in grid):
             raise ParameterError("binary table must be square")
         object.__setattr__(self, "rows", grid)
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @property
     def m(self) -> int:
@@ -134,7 +138,9 @@ class BinaryTable:
         return isinstance(other, BinaryTable) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.rows))
+        return self._hash
 
     def __repr__(self):
         body = " / ".join(" ".join(str(v) for v in row) for row in self.rows)

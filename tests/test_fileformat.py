@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mixed_instance, table, unary
-from scsp import (INF, Instance, IntervalFunction, SoftConstraint, abs_diff,
-                  as_evaluation, format_instance, parse_instance)
-from scsp.errors import ParseError
+from scsp import (INF, BinaryTable, Instance, IntervalFunction, SoftConstraint,
+                  UnaryTable, abs_diff, as_evaluation, format_instance,
+                  parse_instance)
+from scsp.errors import ParameterError, ParseError
 
 
 class TestParse:
@@ -153,6 +154,41 @@ class TestRepeatedTokens:
         assert format_instance(parse_instance(text)) == text
 
 
+class TestRepeatedTables:
+    def test_identical_lines_share_one_table(self, data_dir):
+        inst = parse_instance((data_dir / "quadratic.scsp").read_text())
+        tables = [c.function for c in inst.constraints]
+        binaries = [t for t in tables if isinstance(t, BinaryTable)]
+        assert len(binaries) == 3
+        assert all(t is binaries[0] for t in binaries)
+        # same body, spaced differently: still one table
+        inst = parse_instance("scsp 1\ndomain 2\nvar a\nvar b\n"
+                              "unary a 1 inf\nunary b  1   inf\n"
+                              "binary a b 0 1 / 1 0\nbinary b a 0 1 / 1 0\n")
+        f = [c.function for c in inst.constraints]
+        assert f[0] is f[1] and f[2] is f[3]
+        assert f[0] == unary([1, None]) and f[2] == table([[0, 1], [1, 0]])
+
+    def test_directive_is_part_of_the_key(self):
+        # at domain 1 a unary and a binary line can have the same body
+        inst = parse_instance("scsp 1\ndomain 1\nvar x\nvar y\n"
+                              "unary x 5\nbinary x y 5\nunary y 5\n"
+                              "binary y x 5\n")
+        kinds = [type(c.function) for c in inst.constraints]
+        assert kinds == [UnaryTable, BinaryTable, UnaryTable, BinaryTable]
+        assert parse_instance(format_instance(inst)) == inst
+
+    def test_bad_table_fails_at_its_own_line(self):
+        head = "scsp 1\ndomain 2\nvar a\nvar b\n"
+        repeated = "unary a 1 2\nbinary a b 0 1 / 1 0\n" * 2
+        for line, fragment in (("unary b 1 1.5", "bad evaluation"),
+                               ("binary b a 0 1 / 1 1/0", "zero denominator"),
+                               ("binary b a 0 1 / 1", "2 rows")):
+            with pytest.raises(ParseError) as info:
+                parse_instance(head + repeated + line + "\n" + repeated)
+            assert info.value.line == 9 and fragment in str(info.value)
+
+
 class TestRoundTrip:
     def test_fixtures(self, data_dir):
         for path in sorted(data_dir.glob("*.scsp")):
@@ -179,6 +215,15 @@ class TestRoundTrip:
         assert "binary a b 1/2 0 / 3 7/2" in text
         assert "gi b a 1 2 inf" in text
         assert parse_instance(text) == inst
+
+    @pytest.mark.parametrize("name", ["a b", "x\ty", "x#1", "#", 7, ("x", 1)])
+    def test_refuses_names_that_cannot_round_trip(self, name):
+        # "a b" reads back as two tokens, "x#1" as "x", 7 as "7"
+        inst = Instance(("ok", name), 2, (
+            SoftConstraint(("ok", name), IntervalFunction(1, 2, 3)),))
+        with pytest.raises(ParameterError) as info:
+            format_instance(inst)
+        assert repr(name) in str(info.value)
 
 
 # Texts whose lines join a head (a directive, with its names) and tokens
