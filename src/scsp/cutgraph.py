@@ -10,7 +10,9 @@ the cut exactly when the assignment pays p.
 Infinite capacities never enter the flow computation as a sentinel the
 arithmetic could overflow; they are replaced by one unit more than the sum
 of all finite capacities, which no finite-evaluation cut can reach, and a
-computed value at or above that bound is reported as infinite.
+computed value at or above that bound is reported as infinite.  The
+flow comes from Boykov and Kolmogorov's search trees, and each cut is
+proved minimum by a flow of equal value before it is returned.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
-from .errors import TooLarge, WrongConstraintKind
+from .errors import CutMismatch, TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation
 from .functions import IntervalFunction
 from .model import Instance, check_assignment
@@ -101,7 +103,8 @@ def min_cut(network: FlowNetwork) -> CutResult:
     Capacities are scaled by the least common denominator and the flow is
     computed over the integers, so the result is exact.  The source side
     is the set of nodes reachable from the source in the final residual
-    graph, which makes the answer deterministic.
+    graph, which makes the answer deterministic.  A linear-time optimality
+    certificate (_certify) checks each answer; a failure raises CutMismatch.
     """
     nodes = network.nodes
     index = {node: i for i, node in enumerate(nodes)}
@@ -124,66 +127,154 @@ def min_cut(network: FlowNetwork) -> CutResult:
         arc_to += (v, u)
         arc_cap += (c, 0)
 
-    flow, level = _dinic(len(nodes), arc_to, arc_cap, adjacency, 0, 1)
-    side = frozenset(node for node, d in zip(nodes, level) if d >= 0)
+    residual = arc_cap.copy()
+    flow, reached = _max_flow(len(nodes), arc_to, residual, adjacency, 0, 1)
+    cut_edges = _certify(arc_to, arc_cap, residual, flow, reached)
+    side = frozenset(node for node, r in zip(nodes, reached) if r)
     value = INF if flow >= big else Evaluation(Fraction(flow, scale))
-    return CutResult(value, side, _leaving(network, side))
+    return CutResult(value, side, cut_edges)
 
 
-def _dinic(n, arc_to, arc_cap, adjacency, source, sink):
-    """The maximum flow value and the levels of the final breadth-first
-    search: level[u] >= 0 exactly when u is reachable from the source in
-    the final residual graph."""
-    total = 0
+def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
+    """The maximum flow value, and per node whether it is reachable from
+    the source in the final residual graph.
+
+    Boykov and Kolmogorov's search trees (TPAMI 2004): a source and a sink
+    tree grow breadth first from active nodes until a residual arc joins
+    them.  Pushing the path's bottleneck orphans each node whose parent arc
+    saturates; an orphan adopts the nearest neighbour of its tree whose
+    path to the terminal meets no orphan, or is freed.  tree[v] is 1, -1
+    or 0 (source tree, sink tree, free); parent[v] is the arc from v to its
+    parent, whose reverse carries the flow in the source tree.
+    """
+    TERMINAL, ORPHAN = -1, -2
+    tree, parent, dist, stamp = [0] * n, [ORPHAN] * n, [0] * n, [0] * n
+    tree[source], tree[sink] = 1, -1
+    parent[source] = parent[sink] = TERMINAL
+    active = deque((source, sink))
+    orphans: list[int] = []
+    time = total = 0
     while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for a in adjacency[u]:
-                v = arc_to[a]
-                if arc_cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return total, level
-        cursor = [0] * n
-        # depth-first blocking flow, iterative to keep recursion out of it
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                bottleneck = min(arc_cap[a] for a in path)
-                for a in path:
-                    arc_cap[a] -= bottleneck
-                    arc_cap[a ^ 1] += bottleneck
-                total += bottleneck
-                # retreat to just before the first saturated arc
-                for k, a in enumerate(path):
-                    if arc_cap[a] == 0:
-                        del path[k:]
-                        break
-                u = arc_to[path[-1]] if path else source
-                continue
-            advanced = False
-            arcs = adjacency[u]
-            while cursor[u] < len(arcs):
-                a = arcs[cursor[u]]
-                v = arc_to[a]
-                if arc_cap[a] > 0 and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
+        # growth: scan the front active node for a residual arc into the
+        # other tree; a node that finds one stays at the front
+        bridge = -1
+        while active:
+            u = active[0]
+            side = tree[u]
+            if side:
+                down = side < 0  # the sink tree grows along reverse arcs
+                d, t = dist[u] + 1, stamp[u]
+                for a in adjacency[u]:
+                    if arc_cap[a ^ down]:
+                        v = arc_to[a]
+                        if not tree[v]:
+                            tree[v] = side
+                            parent[v], dist[v], stamp[v] = a ^ 1, d, t
+                            active.append(v)
+                        elif tree[v] != side:
+                            bridge = a ^ down
+                            break
+                        elif stamp[v] <= t and dist[v] > d:
+                            parent[v], dist[v], stamp[v] = a ^ 1, d, t
+                if bridge >= 0:
                     break
-                cursor[u] += 1
-            if advanced:
+            active.popleft()
+        if bridge < 0:
+            return total, [t > 0 for t in tree]
+
+        # augmentation: each path arc is kept with the child it feeds, the
+        # child orphaned when the arc saturates
+        path = []
+        for v, up in ((arc_to[bridge ^ 1], 1), (arc_to[bridge], 0)):
+            while parent[v] != TERMINAL:
+                path.append((v, parent[v] ^ up))
+                v = arc_to[parent[v]]
+        bottleneck = min([arc_cap[bridge]] + [arc_cap[a] for _, a in path])
+        arc_cap[bridge] -= bottleneck
+        arc_cap[bridge ^ 1] += bottleneck
+        for v, a in path:
+            arc_cap[a] -= bottleneck
+            arc_cap[a ^ 1] += bottleneck
+            if not arc_cap[a]:
+                parent[v] = ORPHAN
+                orphans.append(v)
+        total += bottleneck
+
+        # adoption; a stamp of the current time marks a node whose path to
+        # the terminal is known to meet no orphan, dist[] its length
+        time += 1
+        stamp[source] = stamp[sink] = time
+        for v in orphans:
+            side = tree[v]
+            up = side > 0  # a ^ up: the way flow crosses a to or from v
+            best, best_d = ORPHAN, inf
+            for a in adjacency[v]:
+                w = arc_to[a]
+                if tree[w] != side or not arc_cap[a ^ up]:
+                    continue
+                j, d = w, 0
+                while stamp[j] != time and parent[j] != ORPHAN:
+                    j = arc_to[parent[j]]
+                    d += 1
+                if stamp[j] != time:
+                    continue  # w hangs below an orphan
+                d += dist[j]
+                if d < best_d:
+                    best, best_d = a, d
+                j = w
+                while stamp[j] != time:
+                    stamp[j], dist[j] = time, d
+                    j = arc_to[parent[j]]
+                    d -= 1
+            if best != ORPHAN:
+                parent[v], dist[v], stamp[v] = best, best_d + 1, time
                 continue
-            if u == source:
-                break
-            level[u] = -1  # dead end; prune the node for this phase
-            last = path.pop()
-            u = arc_to[last ^ 1]
+            # no valid parent: free v, wake the neighbours that could grow
+            # into it again and orphan its children
+            for a in adjacency[v]:
+                w = arc_to[a]
+                if tree[w] == side:
+                    if arc_cap[a ^ up]:
+                        active.append(w)
+                    if parent[w] >= 0 and arc_to[parent[w]] == v:
+                        parent[w] = ORPHAN
+                        orphans.append(w)
+            tree[v] = 0
+        orphans.clear()
+
+
+def _certify(arc_to, capacity, residual, flow, reached) -> tuple[int, ...]:
+    """Check that ``residual`` holds a maximum flow of value ``flow`` and
+    ``reached`` a minimum cut; return the indices of the edges leaving it.
+
+    Edge i is the arc pair 2i, 2i + 1 and carries the flow on its reverse
+    arc; S and T are nodes 0 and 1.  A flow within the capacities, conserved
+    at every other node, whose value is the weight of a cut proves both
+    optimal.
+    """
+    if not reached[0] or reached[1]:
+        raise CutMismatch("the cut's source side must hold S and not T")
+    excess = [0] * len(reached)
+    weight = 0
+    cut_edges = []
+    for i in range(0, len(arc_to), 2):
+        c, f = capacity[i], residual[i + 1]
+        if not 0 <= f <= c or residual[i] != c - f:
+            raise CutMismatch(f"edge {i // 2} of capacity {c} carries "
+                              f"flow {f} with residual {residual[i]}")
+        head, tail = arc_to[i], arc_to[i + 1]
+        excess[head] += f
+        excess[tail] -= f
+        if reached[tail] and not reached[head]:
+            weight += c
+            cut_edges.append(i // 2)
+    if excess[0] != -flow or excess[1] != flow or any(excess[2:]):
+        raise CutMismatch(f"a flow of value {flow} must leave S, reach T "
+                          "and be conserved at every other node")
+    if weight != flow:
+        raise CutMismatch(f"cut weight {weight} differs from the flow "
+                          f"{flow}: the cut is not minimal")
+    return tuple(cut_edges)
 
 
 def extract_assignment(network: FlowNetwork, cut: CutResult) -> dict:
@@ -214,17 +305,12 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
     side = {SOURCE}
     for v in network.variables:
         side.update((v, d) for d in range(assignment[v], network.m + 1))
-    cut_edges = _leaving(network, side)
+    cut_edges = tuple(i for i, e in enumerate(network.edges)
+                      if e.tail in side and e.head not in side)
     value = ZERO
     for i in cut_edges:
         value = value + network.edges[i].capacity
     return CutResult(value, frozenset(side), cut_edges)
-
-
-def _leaving(network: FlowNetwork, side) -> tuple[int, ...]:
-    """Indices of the edges whose tail is in ``side`` and head is not."""
-    return tuple(i for i, e in enumerate(network.edges)
-                 if e.tail in side and e.head not in side)
 
 
 def _node_name(node) -> str:

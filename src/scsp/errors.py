@@ -58,8 +58,9 @@ class WrongConstraintKind(ScspError):
 
 
 class CutMismatch(ScspError):
-    """A minimum cut's weight differs from the evaluation of the assignment
-    read off it; indicates a bug."""
+    """A minimum cut failed its optimality certificate, or its weight
+    differs from the evaluation of the assignment read off it; indicates a
+    bug."""
 
 
 class DecompositionError(ScspError):

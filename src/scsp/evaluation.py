@@ -46,6 +46,11 @@ class Evaluation:
     def __setattr__(self, name, value):
         raise AttributeError("Evaluation is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _make: the default slot-state
+        # restore would go through the blocked __setattr__
+        return Evaluation._make, (self._value,)
+
     @property
     def is_infinite(self) -> bool:
         return self._value is None

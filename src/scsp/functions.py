@@ -91,6 +91,11 @@ class UnaryTable:
             object.__setattr__(self, "_hash", hash(self.values))
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt without the cached hash: hash(INF) is hash("inf"), which
+        # depends on the process's hash seed
+        return type(self), (self.values,)
+
     def __repr__(self):
         return f"UnaryTable([{', '.join(str(v) for v in self.values)}])"
 
@@ -141,6 +146,11 @@ class BinaryTable:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.rows))
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt without the cached hash: hash(INF) is hash("inf"), which
+        # depends on the process's hash seed
+        return type(self), (self.rows,)
 
     def __repr__(self):
         body = " / ".join(" ".join(str(v) for v in row) for row in self.rows)

@@ -5,14 +5,17 @@ from collections import deque
 
 import pytest
 
-from helpers import random_gi_instance, random_assignment
+from helpers import (random_assignment, random_gi_instance,
+                     random_mixed_instance)
 from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, Instance,
                   IntervalFunction, SoftConstraint, as_evaluation,
                   brute_force, build_network, compile_to_intervals,
                   cut_from_assignment, evaluate, extract_assignment,
                   format_network, min_cut, parse_instance, solve)
+from scsp import cutgraph
 from scsp.cutgraph import NETWORK_GUARD
-from scsp.errors import DomainError, ScopeError, TooLarge, WrongConstraintKind
+from scsp.errors import (CutMismatch, DomainError, ScopeError, TooLarge,
+                         WrongConstraintKind)
 
 
 def reaches_sink_avoiding(network, cut_edges):
@@ -31,6 +34,43 @@ def reaches_sink_avoiding(network, cut_edges):
                 seen.add(v)
                 queue.append(v)
     return SINK in seen
+
+
+def networkx_cut(network, flow_func=None):
+    """networkx's maximum flow value as an Evaluation (None when unbounded)
+    and the nodes reachable from SOURCE in its residual graph."""
+    import networkx as nx
+    capacity = {}  # parallel edges merged
+    for e in network.edges:
+        if e.tail != e.head:
+            key = (e.tail, e.head)
+            capacity[key] = capacity.get(key, ZERO) + e.capacity
+    graph = nx.DiGraph()
+    graph.add_nodes_from(network.nodes)
+    for (u, v), c in capacity.items():
+        if c.is_infinite:
+            graph.add_edge(u, v)  # no capacity: unbounded
+        else:
+            graph.add_edge(u, v, capacity=c.fraction)
+    try:
+        value, flow = nx.maximum_flow(graph, SOURCE, SINK,
+                                      flow_func=flow_func)
+    except nx.NetworkXUnbounded:
+        return None, None
+    residual = {}
+    for (u, v), c in capacity.items():
+        if c.is_infinite or flow[u][v] < c.fraction:
+            residual.setdefault(u, []).append(v)
+        if flow[u][v] > 0:
+            residual.setdefault(v, []).append(u)
+    reachable = {SOURCE}
+    queue = deque([SOURCE])
+    while queue:
+        for v in residual.get(queue.popleft(), ()):
+            if v not in reachable:
+                reachable.add(v)
+                queue.append(v)
+    return as_evaluation(value), reachable
 
 
 class TestBuildNetwork:
@@ -167,49 +207,166 @@ class TestMinCut:
                 assert evaluate(inst, assignment) == best.evaluation
 
     def test_matches_networkx_max_flow(self):
-        # An oracle independent of Dinic: networkx's maximum flow, then the
-        # nodes reachable from S in its residual graph.  That set is the
-        # same for every maximum flow, so it pins the source side too.
-        nx = pytest.importorskip("networkx")
+        # An oracle independent of the engine: networkx's maximum flow, then
+        # the nodes reachable from S in its residual graph.  That set is the
+        # same for every maximum flow, so it pins the source side too.  The
+        # compiled mixed instances bring infinite staircases, parallel
+        # edges and self-loops, where the search trees are repaired most.
+        pytest.importorskip("networkx")
         rng = random.Random(66)
+        nets = [build_network(random_gi_instance(rng)) for _ in range(250)]
+        rng = random.Random(70)
+        nets += [build_network(compile_to_intervals(
+                     random_mixed_instance(rng))) for _ in range(250)]
         finite = 0
-        for _ in range(250):
-            net = build_network(random_gi_instance(rng))
+        for net in nets:
             cut = min_cut(net)
-            capacity = {}  # parallel edges merged
-            for e in net.edges:
-                if e.tail != e.head:
-                    key = (e.tail, e.head)
-                    capacity[key] = capacity.get(key, ZERO) + e.capacity
-            graph = nx.DiGraph()
-            graph.add_nodes_from(net.nodes)
-            for (u, v), c in capacity.items():
-                if c.is_infinite:
-                    graph.add_edge(u, v)  # no capacity: unbounded
-                else:
-                    graph.add_edge(u, v, capacity=c.fraction)
-            try:
-                value, flow = nx.maximum_flow(graph, SOURCE, SINK)
-            except nx.NetworkXUnbounded:
+            value, reachable = networkx_cut(net)
+            if value is None:
                 assert cut.value.is_infinite
                 continue
             finite += 1
-            assert as_evaluation(value) == cut.value
-            residual = {}
-            for (u, v), c in capacity.items():
-                if c.is_infinite or flow[u][v] < c.fraction:
-                    residual.setdefault(u, []).append(v)
-                if flow[u][v] > 0:
-                    residual.setdefault(v, []).append(u)
-            reachable = {SOURCE}
-            queue = deque([SOURCE])
-            while queue:
-                for v in residual.get(queue.popleft(), ()):
-                    if v not in reachable:
-                        reachable.add(v)
-                        queue.append(v)
+            assert cut.value == value
             assert cut.source_side == reachable
-        assert finite > 100
+        assert finite > 250
+
+    def test_deep_chains_match_networkx(self):
+        # two chains of 2001 levels crossed by gi terms both ways, some of
+        # which charge one variable alone for being high or low: tree paths
+        # run thousands of arcs long, far past the recursion limit
+        pytest.importorskip("networkx")
+        rng = random.Random(67)
+        m = 2000
+        constraints = []
+        for _ in range(60):
+            scope = rng.choice((("a", "b"), ("b", "a")))
+            x, y = rng.choice(((rng.randint(1, m), rng.randint(1, m)),
+                               (rng.randint(1, m), m), (1, rng.randint(1, m))))
+            constraints.append(SoftConstraint(scope, IntervalFunction(
+                x, y, as_evaluation(rng.randint(1, 9)))))
+        net = build_network(Instance(("a", "b"), m, tuple(constraints)))
+        cut = min_cut(net)
+        # networkx's default preflow-push takes seconds here
+        from networkx.algorithms.flow import edmonds_karp
+        value, reachable = networkx_cut(net, edmonds_karp)
+        assert not cut.value.is_zero
+        assert cut.value == value
+        assert cut.source_side == reachable
+
+
+def augmenting_paths(limit):
+    """A max-flow engine with min_cut's contract that stops after ``limit``
+    shortest augmenting paths and reports the nodes it reaches from S
+    without passing T: a consistent cut that is minimal only when the
+    flow is maximum."""
+    def engine(n, arc_to, arc_cap, adjacency, source, sink):
+        total = 0
+        for _ in range(limit):
+            via = {source: None}
+            queue = deque([source])
+            while queue and sink not in via:
+                for a in adjacency[queue.popleft()]:
+                    if arc_cap[a] and arc_to[a] not in via:
+                        via[arc_to[a]] = a
+                        queue.append(arc_to[a])
+            if sink not in via:
+                break
+            path = []
+            v = sink
+            while via[v] is not None:
+                path.append(via[v])
+                v = arc_to[via[v] ^ 1]
+            bottleneck = min(arc_cap[a] for a in path)
+            for a in path:
+                arc_cap[a] -= bottleneck
+                arc_cap[a ^ 1] += bottleneck
+            total += bottleneck
+        reached = [False] * n
+        reached[source] = True
+        queue = deque([source])
+        while queue:
+            for a in adjacency[queue.popleft()]:
+                v = arc_to[a]
+                if arc_cap[a] and not reached[v] and v != sink:
+                    reached[v] = True
+                    queue.append(v)
+        return total, reached
+    return engine
+
+
+def tampered(tamper):
+    """The real engine, with ``tamper(arc_to, arc_cap, flow)`` rewriting its
+    answer before min_cut checks it."""
+    real = cutgraph._max_flow
+
+    def engine(n, arc_to, arc_cap, adjacency, source, sink):
+        flow, reached = real(n, arc_to, arc_cap, adjacency, source, sink)
+        return tamper(arc_to, arc_cap, flow), reached
+    return engine
+
+
+def shift_one_unit(arc_to, arc_cap, flow):
+    # one more unit on an arc between two level nodes: its ends lose
+    # conservation
+    for a in range(0, len(arc_to), 2):
+        if arc_cap[a] and 1 < arc_to[a] != arc_to[a ^ 1] > 1:
+            arc_cap[a] -= 1
+            arc_cap[a ^ 1] += 1
+            return flow
+    raise AssertionError("no arc to tamper with")
+
+
+def overfill(arc_to, arc_cap, flow):
+    # a saturated edge's reverse arc gains a unit its capacity lacks
+    for a in range(0, len(arc_to), 2):
+        if not arc_cap[a] and arc_cap[a ^ 1]:
+            arc_cap[a ^ 1] += 1
+            return flow
+    raise AssertionError("no saturated edge")
+
+
+class TestOptimalityCertificate:
+    def test_other_maximum_flow_engines_pass(self, monkeypatch):
+        rng = random.Random(68)
+        nets = [build_network(compile_to_intervals(random_mixed_instance(rng)))
+                for _ in range(40)]
+        expected = [min_cut(net) for net in nets]
+        monkeypatch.setattr(cutgraph, "_max_flow", augmenting_paths(10 ** 6))
+        assert [min_cut(net) for net in nets] == expected
+
+    def test_stopping_early_is_not_minimal(self, monkeypatch):
+        rng = random.Random(69)
+        nets = [build_network(random_gi_instance(rng)) for _ in range(60)]
+        truth = [min_cut(net).value for net in nets]
+        stopped = []
+        for limit in (0, 1, 2):
+            monkeypatch.setattr(cutgraph, "_max_flow",
+                                augmenting_paths(limit))
+            stopped.append(0)
+            for net, value in zip(nets, truth):
+                try:
+                    cut = min_cut(net)
+                except CutMismatch as err:
+                    assert "not minimal" in str(err)
+                    stopped[-1] += 1
+                else:
+                    assert cut.value == value
+        # with no path pushed every network of positive value is caught
+        assert stopped[0] == sum(not value.is_zero for value in truth)
+        assert stopped[0] > stopped[1] > stopped[2] > 0
+
+    @pytest.mark.parametrize("tamper, message", [
+        (shift_one_unit, "conserved"),
+        (overfill, "capacity"),
+        (lambda arc_to, arc_cap, flow: flow + 1, "conserved"),
+        (lambda arc_to, arc_cap, flow: flow - 1, "conserved"),
+    ], ids=["conservation", "capacity", "value+1", "value-1"])
+    def test_tampered_flows_raise(self, monkeypatch, chain_text, tamper,
+                                  message):
+        net = build_network(parse_instance(chain_text))
+        monkeypatch.setattr(cutgraph, "_max_flow", tampered(tamper))
+        with pytest.raises(CutMismatch, match=message):
+            min_cut(net)
 
 
 class TestCutFromAssignment:

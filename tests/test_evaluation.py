@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,16 @@ def test_constructor_refuses_floats():
 def test_hash_consistency():
     assert hash(as_evaluation("4/2")) == hash(as_evaluation(2))
     assert len({INF, INF + ZERO, as_evaluation("inf")}) == 1
+
+
+@pytest.mark.parametrize("e", [ZERO, INF, as_evaluation("3/4")], ids=str)
+def test_copy_and_pickle(e):
+    for other in (copy.copy(e), copy.deepcopy(e),
+                  pickle.loads(pickle.dumps(e))):
+        assert other == e and hash(other) == hash(e)
+        assert other.is_infinite == e.is_infinite
+        with pytest.raises(AttributeError):
+            other._value = Fraction(5)
 
 
 @given(evaluations, evaluations)

@@ -1,9 +1,16 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import scsp
 from scsp import (INF, ZERO, ApproximationBrokeSubmodularity, BinaryTable,
                   DomainError, IntervalFunction, ParameterError, UnaryTable,
                   abs_diff, arith_relation, as_evaluation, centered_square,
@@ -76,6 +83,32 @@ class TestTables:
 
     def test_repr_round_readability(self):
         assert repr(table([[8, 7], [7, 5]])) == "BinaryTable(8 7 / 7 5)"
+
+    def test_copy_and_pickle(self):
+        for t in (unary([0, "1/2", None]), table([[1, None], [0, "3/4"]])):
+            hash(t)  # cache the hash first
+            for other in (copy.copy(t), copy.deepcopy(t),
+                          pickle.loads(pickle.dumps(t))):
+                assert other == t and hash(other) == hash(t)
+
+    def test_unpickled_hash_matches_a_fresh_table(self):
+        # hash(INF) is hash("inf"), which depends on the process's hash
+        # seed: a table pickled under another seed, its hash cached first,
+        # must load with this process's hash
+        code = ("import pickle, sys\n"
+                "from scsp import INF, BinaryTable, UnaryTable\n"
+                "tables = (UnaryTable([1, INF]),\n"
+                "          BinaryTable([[INF, 1], [0, 2]]))\n"
+                "[hash(t) for t in tables]\n"
+                "sys.stdout.buffer.write(pickle.dumps(tables))\n")
+        package_root = str(Path(scsp.__file__).resolve().parent.parent)
+        fresh = [hash(unary([1, None])), hash(table([[None, 1], [0, 2]]))]
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=package_root)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, check=True).stdout
+            assert [hash(t) for t in pickle.loads(out)] == fresh
 
 
 class TestBuilders:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -46,6 +48,16 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             Instance(("x", "y"), 3,
                      (SoftConstraint(("x", "y"), IntervalFunction(1, 4, 1)),))
+
+    def test_copy_and_pickle(self):
+        inst = Instance(("a", "b"), 2, (
+            SoftConstraint(("a",), unary([0, None])),
+            SoftConstraint(("a", "b"), table([[1, None], [0, "1/2"]])),
+            SoftConstraint(("b", "a"), IntervalFunction(1, 2, INF)),
+        ))
+        for other in (copy.copy(inst), copy.deepcopy(inst),
+                      pickle.loads(pickle.dumps(inst))):
+            assert other == inst and hash(other) == hash(inst)
 
     def test_empty_instances_are_fine(self):
         assert evaluate(Instance((), 3, ()), {}) == ZERO
