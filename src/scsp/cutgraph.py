@@ -20,9 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 
-from .errors import CutMismatch, TooLarge, WrongConstraintKind
+from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation
 from .functions import IntervalFunction
 from .model import Instance, check_assignment
@@ -105,6 +105,7 @@ def min_cut(network: FlowNetwork) -> CutResult:
     is the set of nodes reachable from the source in the final residual
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
+    An edge naming a node outside the network raises ParameterError.
     """
     nodes = network.nodes
     index = {node: i for i, node in enumerate(nodes)}
@@ -117,8 +118,12 @@ def min_cut(network: FlowNetwork) -> CutResult:
     arc_to: list[int] = []
     arc_cap: list[int] = []
     adjacency: list[list[int]] = [[] for _ in nodes]
-    for e in network.edges:
-        u, v = index[e.tail], index[e.head]
+    for i, e in enumerate(network.edges):
+        try:
+            u, v = index[e.tail], index[e.head]
+        except KeyError as err:
+            raise ParameterError(f"edge {i} names {err.args[0]!r}, which is "
+                                 "not a node of the network") from None
         cap = e.capacity
         c = big if cap.is_infinite else (
             cap.fraction.numerator * (scale // cap.fraction.denominator))
@@ -142,15 +147,18 @@ def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
     Boykov and Kolmogorov's search trees (TPAMI 2004): a source and a sink
     tree grow breadth first from active nodes until a residual arc joins
     them.  Pushing the path's bottleneck orphans each node whose parent arc
-    saturates; an orphan adopts the nearest neighbour of its tree whose
-    path to the terminal meets no orphan, or is freed.  tree[v] is 1, -1
-    or 0 (source tree, sink tree, free); parent[v] is the arc from v to its
+    saturates; an orphan adopts the first neighbour of its tree whose path
+    to the terminal meets no orphan, or is freed.  A walk up such a path
+    stops at a node stamped this round and stamps the nodes it passed,
+    which keeps adoption fast on deep chains.  tree[v] is 1, -1 or 0
+    (source tree, sink tree, free); parent[v] is the arc from v to its
     parent, whose reverse carries the flow in the source tree.
     """
     TERMINAL, ORPHAN = -1, -2
-    tree, parent, dist, stamp = [0] * n, [ORPHAN] * n, [0] * n, [0] * n
+    tree, parent, stamp, queued = [0] * n, [ORPHAN] * n, [0] * n, [False] * n
     tree[source], tree[sink] = 1, -1
     parent[source] = parent[sink] = TERMINAL
+    queued[source] = queued[sink] = True
     active = deque((source, sink))
     orphans: list[int] = []
     time = total = 0
@@ -163,22 +171,20 @@ def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
             side = tree[u]
             if side:
                 down = side < 0  # the sink tree grows along reverse arcs
-                d, t = dist[u] + 1, stamp[u]
                 for a in adjacency[u]:
                     if arc_cap[a ^ down]:
                         v = arc_to[a]
                         if not tree[v]:
-                            tree[v] = side
-                            parent[v], dist[v], stamp[v] = a ^ 1, d, t
-                            active.append(v)
+                            tree[v], parent[v] = side, a ^ 1
+                            if not queued[v]:
+                                queued[v] = True
+                                active.append(v)
                         elif tree[v] != side:
                             bridge = a ^ down
                             break
-                        elif stamp[v] <= t and dist[v] > d:
-                            parent[v], dist[v], stamp[v] = a ^ 1, d, t
                 if bridge >= 0:
                     break
-            active.popleft()
+            queued[active.popleft()] = False
         if bridge < 0:
             return total, [t > 0 for t in tree]
 
@@ -200,46 +206,39 @@ def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
                 orphans.append(v)
         total += bottleneck
 
-        # adoption; a stamp of the current time marks a node whose path to
-        # the terminal is known to meet no orphan, dist[] its length
+        # adoption: stamp[v] == time marks a path known to meet no orphan
         time += 1
         stamp[source] = stamp[sink] = time
         for v in orphans:
             side = tree[v]
             up = side > 0  # a ^ up: the way flow crosses a to or from v
-            best, best_d = ORPHAN, inf
             for a in adjacency[v]:
                 w = arc_to[a]
                 if tree[w] != side or not arc_cap[a ^ up]:
                     continue
-                j, d = w, 0
+                j = w
                 while stamp[j] != time and parent[j] != ORPHAN:
                     j = arc_to[parent[j]]
-                    d += 1
                 if stamp[j] != time:
                     continue  # w hangs below an orphan
-                d += dist[j]
-                if d < best_d:
-                    best, best_d = a, d
-                j = w
-                while stamp[j] != time:
-                    stamp[j], dist[j] = time, d
-                    j = arc_to[parent[j]]
-                    d -= 1
-            if best != ORPHAN:
-                parent[v], dist[v], stamp[v] = best, best_d + 1, time
-                continue
-            # no valid parent: free v, wake the neighbours that could grow
-            # into it again and orphan its children
-            for a in adjacency[v]:
-                w = arc_to[a]
-                if tree[w] == side:
-                    if arc_cap[a ^ up]:
-                        active.append(w)
-                    if parent[w] >= 0 and arc_to[parent[w]] == v:
-                        parent[w] = ORPHAN
-                        orphans.append(w)
-            tree[v] = 0
+                while stamp[w] != time:
+                    stamp[w] = time
+                    w = arc_to[parent[w]]
+                parent[v], stamp[v] = a, time
+                break
+            else:
+                # no valid parent: free v, wake the neighbours that could
+                # grow into it again and orphan its children
+                for a in adjacency[v]:
+                    w = arc_to[a]
+                    if tree[w] == side:
+                        if arc_cap[a ^ up] and not queued[w]:
+                            queued[w] = True
+                            active.append(w)
+                        if parent[w] >= 0 and arc_to[parent[w]] == v:
+                            parent[w] = ORPHAN
+                            orphans.append(w)
+                tree[v] = 0
         orphans.clear()
 
 

@@ -1,21 +1,27 @@
 """Network construction, exact min cut, and the assignment/cut dictionary."""
 
+import itertools
 import random
+import re
 from collections import deque
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (random_assignment, random_gi_instance,
-                     random_mixed_instance)
-from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, Instance,
+                     random_mixed_instance, unary)
+from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, FlowNetwork, Instance,
                   IntervalFunction, SoftConstraint, as_evaluation,
                   brute_force, build_network, compile_to_intervals,
                   cut_from_assignment, evaluate, extract_assignment,
-                  format_network, min_cut, parse_instance, solve)
+                  format_network, min_cut, parse_instance, product_complement,
+                  solve)
 from scsp import cutgraph
 from scsp.cutgraph import NETWORK_GUARD
-from scsp.errors import (CutMismatch, DomainError, ScopeError, TooLarge,
-                         WrongConstraintKind)
+from scsp.errors import (CutMismatch, DomainError, ParameterError, ScopeError,
+                         TooLarge, WrongConstraintKind)
 
 
 def reaches_sink_avoiding(network, cut_edges):
@@ -230,6 +236,35 @@ class TestMinCut:
             assert cut.source_side == reachable
         assert finite > 250
 
+    def test_edges_outside_the_network_raise(self):
+        chain = FlowEdge(("x", 0), ("x", 1), INF, None)
+        for stray in (("y", 1), ("x", 5), "x"):
+            net = FlowNetwork(("x",), 2, (
+                chain, FlowEdge(SOURCE, stray, as_evaluation(1), 0)))
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"edge 1 names {stray!r}")):
+                min_cut(net)
+
+    def test_each_node_is_queued_once(self, monkeypatch):
+        # a dense table on every pair of four variables: freed orphans
+        # wake neighbours that are still pending in the queue
+        class PendingOnce(deque):
+            def append(self, node):
+                if node in self:
+                    raise AssertionError(f"node {node} queued twice")
+                super().append(node)
+
+        names = ("a", "b", "c", "d")
+        constraints = [SoftConstraint(pair, product_complement(8))
+                       for pair in itertools.combinations(names, 2)]
+        constraints += [SoftConstraint((v,), unary(
+            [(3 * d + i) % 8 for d in range(8)])) for i, v in enumerate(names)]
+        net = build_network(compile_to_intervals(
+            Instance(names, 8, tuple(constraints))))
+        expected = min_cut(net)
+        monkeypatch.setattr(cutgraph, "deque", PendingOnce)
+        assert min_cut(net) == expected
+
     def test_deep_chains_match_networkx(self):
         # two chains of 2001 levels crossed by gi terms both ways, some of
         # which charge one variable alone for being high or low: tree paths
@@ -250,6 +285,50 @@ class TestMinCut:
         from networkx.algorithms.flow import edmonds_karp
         value, reachable = networkx_cut(net, edmonds_karp)
         assert not cut.value.is_zero
+        assert cut.value == value
+        assert cut.source_side == reachable
+
+
+@st.composite
+def flow_networks(draw):
+    """Hand-built networks with arbitrary edges among S, T and the level
+    nodes: parallel and antiparallel pairs, cycles, self-loops, arcs into
+    S and out of T, and about one capacity in ten infinite."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    variables = tuple(f"x{i}" for i in range(n))
+    node = st.sampled_from(FlowNetwork(variables, m, ()).nodes)
+    capacity = st.tuples(st.integers(0, 9),
+                         st.fractions(0, 12, max_denominator=3))
+    edges = draw(st.lists(st.tuples(node, node, capacity), max_size=30))
+    return FlowNetwork(variables, m, tuple(
+        FlowEdge(tail, head, INF if k == 0 else as_evaluation(c), i)
+        for i, (tail, head, (k, c)) in enumerate(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(FlowNetwork(("x0",), 1, (
+    FlowEdge(SOURCE, ("x0", 0), as_evaluation(3), 0),
+    FlowEdge(("x0", 0), ("x0", 1), as_evaluation(2), 1),
+    FlowEdge(("x0", 1), ("x0", 0), as_evaluation(Fraction(1, 2)), 2),
+    FlowEdge(("x0", 1), ("x0", 1), INF, 3),
+    FlowEdge(("x0", 1), SINK, as_evaluation(5), 4),
+    FlowEdge(("x0", 1), SINK, as_evaluation(1), 5),
+    FlowEdge(("x0", 0), SOURCE, INF, 6),
+    FlowEdge(SINK, ("x0", 1), as_evaluation(4), 7),
+)))
+@example(FlowNetwork(("x0",), 1, (
+    FlowEdge(SOURCE, ("x0", 1), INF, 0),
+    FlowEdge(("x0", 1), SINK, INF, 1),
+    FlowEdge(SOURCE, SINK, as_evaluation(2), 2),
+)))
+@given(flow_networks())
+def test_hand_built_networks_match_networkx(net):
+    pytest.importorskip("networkx")
+    value, reachable = networkx_cut(net)
+    cut = min_cut(net)
+    if value is None:
+        assert cut.value.is_infinite
+    else:
         assert cut.value == value
         assert cut.source_side == reachable
 
