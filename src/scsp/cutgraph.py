@@ -105,12 +105,18 @@ def min_cut(network: FlowNetwork) -> CutResult:
     is the set of nodes reachable from the source in the final residual
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
-    An edge naming a node outside the network raises ParameterError.
+    An edge naming a node outside the network, or whose capacity is not an
+    Evaluation, raises ParameterError.
     """
     nodes = network.nodes
     index = {node: i for i, node in enumerate(nodes)}
-    finite = [e.capacity.fraction for e in network.edges
-              if not e.capacity.is_infinite]
+    finite = []
+    for i, e in enumerate(network.edges):
+        if not isinstance(e.capacity, Evaluation):
+            raise ParameterError(f"edge {i} has capacity {e.capacity!r}, "
+                                 "which is not an Evaluation")
+        if not e.capacity.is_infinite:
+            finite.append(e.capacity.fraction)
     scale = lcm(*(f.denominator for f in finite))
     big = sum(f.numerator * (scale // f.denominator) for f in finite) + 1
 
@@ -121,9 +127,10 @@ def min_cut(network: FlowNetwork) -> CutResult:
     for i, e in enumerate(network.edges):
         try:
             u, v = index[e.tail], index[e.head]
-        except KeyError as err:
-            raise ParameterError(f"edge {i} names {err.args[0]!r}, which is "
-                                 "not a node of the network") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable node
+            stray = e.head if e.tail in nodes else e.tail
+            raise ParameterError(f"edge {i} names {stray!r}, which is not a "
+                                 "node of the network") from None
         cap = e.capacity
         c = big if cap.is_infinite else (
             cap.fraction.numerator * (scale // cap.fraction.denominator))

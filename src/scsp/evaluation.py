@@ -11,12 +11,15 @@ drift.
 from __future__ import annotations
 
 import functools
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolated
 
 
 @functools.total_ordering
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Evaluation:
     """A penalty: an exact non-negative rational, or infinity.
 
@@ -25,7 +28,7 @@ class Evaluation:
     large number.  Floats are refused, as by :func:`as_evaluation`.
     """
 
-    __slots__ = ("_value",)
+    _value: Fraction | None
 
     def __init__(self, value):
         if isinstance(value, float):
@@ -42,14 +45,6 @@ class Evaluation:
         e = object.__new__(cls)
         object.__setattr__(e, "_value", fraction_or_none)
         return e
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Evaluation is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through _make: the default slot-state
-        # restore would go through the blocked __setattr__
-        return Evaluation._make, (self._value,)
 
     @property
     def is_infinite(self) -> bool:
@@ -102,7 +97,8 @@ class Evaluation:
         return self._value < other._value
 
     def __hash__(self):
-        return hash(self._value) if self._value is not None else hash("inf")
+        # hash(float("inf")): unlike hash("inf"), the same in every process
+        return sys.hash_info.inf if self._value is None else hash(self._value)
 
     def __str__(self):
         return "inf" if self._value is None else str(self._value)

@@ -21,7 +21,7 @@ and a few small named tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -53,17 +53,19 @@ class IntervalFunction:
         return self.penalty
 
 
+@dataclass(frozen=True, slots=True)
 class UnaryTable:
     """Explicit penalty table for one variable; entry d is the cost of d."""
 
-    __slots__ = ("values", "_hash")
+    values: tuple[Evaluation, ...]
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)  # computed on first use
 
-    def __init__(self, values):
-        vals = tuple(as_evaluation(v) for v in values)
+    def __post_init__(self):
+        vals = tuple(as_evaluation(v) for v in self.values)
         if not vals:
             raise ParameterError("unary table needs at least one entry")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @property
     def m(self) -> int:
@@ -83,23 +85,16 @@ class UnaryTable:
             return NotImplemented
         return UnaryTable([a + b for a, b in zip(self.values, other.values)])
 
-    def __eq__(self, other):
-        return isinstance(other, UnaryTable) and self.values == other.values
-
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.values))
         return self._hash
 
-    def __reduce__(self):
-        # rebuilt without the cached hash: hash(INF) is hash("inf"), which
-        # depends on the process's hash seed
-        return type(self), (self.values,)
-
     def __repr__(self):
         return f"UnaryTable([{', '.join(str(v) for v in self.values)}])"
 
 
+@dataclass(frozen=True, slots=True)
 class BinaryTable:
     """Explicit penalty table for a pair of variables, M rows by M columns.
 
@@ -107,17 +102,18 @@ class BinaryTable:
     through :meth:`value_at`.
     """
 
-    __slots__ = ("rows", "_hash")
+    rows: tuple[tuple[Evaluation, ...], ...]
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)  # computed on first use
 
-    def __init__(self, rows):
-        grid = tuple(tuple(as_evaluation(v) for v in row) for row in rows)
+    def __post_init__(self):
+        grid = tuple(tuple(as_evaluation(v) for v in row) for row in self.rows)
         if not grid:
             raise ParameterError("binary table needs at least one row")
         m = len(grid)
         if any(len(row) != m for row in grid):
             raise ParameterError("binary table must be square")
         object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @property
     def m(self) -> int:
@@ -139,18 +135,10 @@ class BinaryTable:
         return BinaryTable([[a + b for a, b in zip(ra, rb)]
                             for ra, rb in zip(self.rows, other.rows)])
 
-    def __eq__(self, other):
-        return isinstance(other, BinaryTable) and self.rows == other.rows
-
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.rows))
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt without the cached hash: hash(INF) is hash("inf"), which
-        # depends on the process's hash seed
-        return type(self), (self.rows,)
 
     def __repr__(self):
         body = " / ".join(" ".join(str(v) for v in row) for row in self.rows)

@@ -238,11 +238,14 @@ class TestMinCut:
 
     def test_edges_outside_the_network_raise(self):
         chain = FlowEdge(("x", 0), ("x", 1), INF, None)
-        for stray in (("y", 1), ("x", 5), "x"):
-            net = FlowNetwork(("x",), 2, (
-                chain, FlowEdge(SOURCE, stray, as_evaluation(1), 0)))
-            with pytest.raises(ParameterError,
-                               match=re.escape(f"edge 1 names {stray!r}")):
+        cases = [(FlowEdge(SOURCE, stray, as_evaluation(1), 0),
+                  f"edge 1 names {stray!r}")
+                 for stray in (("y", 1), ("x", 5), "x", ["x", 1])]
+        cases.append((FlowEdge(SOURCE, ("x", 1), 1, 0),
+                      "edge 1 has capacity 1,"))
+        for edge, message in cases:
+            net = FlowNetwork(("x",), 2, (chain, edge))
+            with pytest.raises(ParameterError, match=re.escape(message)):
                 min_cut(net)
 
     def test_each_node_is_queued_once(self, monkeypatch):
@@ -445,6 +448,21 @@ class TestOptimalityCertificate:
         net = build_network(parse_instance(chain_text))
         monkeypatch.setattr(cutgraph, "_max_flow", tampered(tamper))
         with pytest.raises(CutMismatch, match=message):
+            min_cut(net)
+
+    @pytest.mark.parametrize("node, mark", [(1, True), (0, False)],
+                             ids=["T-reached", "S-unreached"])
+    def test_cuts_separating_no_terminals_raise(self, monkeypatch, chain_text,
+                                                node, mark):
+        real = cutgraph._max_flow
+
+        def engine(*args):
+            flow, reached = real(*args)
+            reached[node] = mark
+            return flow, reached
+        net = build_network(parse_instance(chain_text))
+        monkeypatch.setattr(cutgraph, "_max_flow", engine)
+        with pytest.raises(CutMismatch, match="must hold S and not T"):
             min_cut(net)
 
 

@@ -25,9 +25,14 @@ def test_construction_and_accessors():
 
 
 def test_immutable():
-    e = as_evaluation(2)
-    with pytest.raises(AttributeError):
-        e._value = Fraction(5)
+    for e in (ZERO, INF, as_evaluation(2)):
+        fresh = copy.deepcopy(e)
+        with pytest.raises(AttributeError):
+            e._value = Fraction(5)
+        assert e == fresh and hash(e) == hash(fresh)
+        with pytest.raises(AttributeError):
+            del e._value
+        assert e == fresh and hash(e) == hash(fresh)
 
 
 def test_addition_examples():

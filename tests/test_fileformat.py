@@ -80,6 +80,8 @@ class TestParseErrors:
                    "2 rows")
         self.check("scsp 1\ndomain 2\nvar a\nbinary a a 0 1 1 0\n", 4,
                    "separated by '/'")
+        self.check("scsp 1\ndomain 2\nvar a\nbinary a\n", 4,
+                   "binary takes two variables and a table")
 
     def test_gi_validation(self):
         head = "scsp 1\ndomain 4\nvar x\nvar y\n"

@@ -91,10 +91,27 @@ class TestTables:
                           pickle.loads(pickle.dumps(t))):
                 assert other == t and hash(other) == hash(t)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: unary([0, "1/2", None]), "values"),
+        (lambda: unary([0, "1/2", None]), "_hash"),
+        (lambda: table([[1, None], [0, "3/4"]]), "rows"),
+        (lambda: table([[1, None], [0, "3/4"]]), "_hash"),
+    ], ids=["unary-values", "unary-hash", "binary-rows", "binary-hash"])
+    def test_immutable_once_hashed(self, make, name):
+        t, fresh = make(), make()
+        hash(t)  # the cached hash must not go stale
+        with pytest.raises(AttributeError):
+            setattr(t, name, ())
+        assert t == fresh and hash(t) == hash(fresh)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert t == fresh and hash(t) == hash(fresh)
+
     def test_unpickled_hash_matches_a_fresh_table(self):
-        # hash(INF) is hash("inf"), which depends on the process's hash
-        # seed: a table pickled under another seed, its hash cached first,
-        # must load with this process's hash
+        # the pickle carries the cached hash, so it must not depend on the
+        # process's hash seed, as hash("inf") would: a table pickled under
+        # another seed, its hash cached first, must load with this
+        # process's hash
         code = ("import pickle, sys\n"
                 "from scsp import INF, BinaryTable, UnaryTable\n"
                 "tables = (UnaryTable([1, INF]),\n"
