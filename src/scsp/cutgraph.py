@@ -7,6 +7,13 @@ off the variable's value.  A constraint <(v, w), f> with penalty p adds an
 edge from (w, f.y_max) to (v, f.x_min - 1) of capacity p: the edge crosses
 the cut exactly when the assignment pays p.
 
+The node set depends on the variables alone, so every node has an integer
+id before any constraint is read: S is 0, T is 1, and (v, d) for the i-th
+variable is 2 + i*(M + 1) + d, its position in ``FlowNetwork.nodes``.  A
+network is held as parallel tuples of tail ids, head ids, capacities and
+constraint indices in edge order; its ``edges``, a tuple of
+:class:`FlowEdge`, is a view built on first access.
+
 Infinite capacities never enter the flow computation as a sentinel the
 arithmetic could overflow; they are replaced by one unit more than the sum
 of all finite capacities, which no finite-evaluation cut can reach, and a
@@ -18,8 +25,9 @@ proved minimum by a flow of equal value before it is returned.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
@@ -43,17 +51,86 @@ class FlowEdge:
     constraint_index: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FlowNetwork:
+    """A flow network over S, T and the level nodes of ``variables``.
+
+    ``FlowNetwork(variables, m, edges)`` builds one by hand; its edges are
+    numbered, and checked, when a cut or a listing needs them.
+    :func:`build_network` stores the numbered form directly, and
+    ``edges`` builds the :class:`FlowEdge` tuple from it on first access.
+    Networks compare and hash by variables, m and edges.
+    """
+
     variables: tuple[str, ...]
     m: int
-    edges: tuple[FlowEdge, ...]
+    _edges: tuple[FlowEdge, ...] | None = field(repr=False)
+    _arcs: tuple[tuple, tuple, tuple, tuple] | None = field(repr=False)
+
+    def __init__(self, variables, m: int, edges):
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_edges", tuple(edges))
+        object.__setattr__(self, "_arcs", None)
+
+    @classmethod
+    def _from_arcs(cls, variables, m, arcs):
+        network = cls(variables, m, ())
+        object.__setattr__(network, "_edges", None)
+        object.__setattr__(network, "_arcs", arcs)
+        return network
 
     @property
     def nodes(self) -> tuple:
         level_nodes = tuple((v, d) for v in self.variables
                             for d in range(self.m + 1))
         return (SOURCE, SINK) + level_nodes
+
+    @property
+    def edges(self) -> tuple[FlowEdge, ...]:
+        if self._edges is None:
+            node = self.nodes.__getitem__
+            tails, heads, capacities, constraints = self._arcs
+            object.__setattr__(self, "_edges", tuple(map(
+                FlowEdge, map(node, tails), map(node, heads), capacities,
+                constraints)))
+        return self._edges
+
+    def _number(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The edges as parallel tuples: tail ids, head ids, capacities and
+        constraint indices.  An edge of a hand-built network that names a
+        node outside ``nodes``, or whose capacity is not an Evaluation,
+        raises ParameterError."""
+        if self._arcs is not None:
+            return self._arcs
+        edges = self._edges
+        for i, e in enumerate(edges):
+            if not isinstance(e.capacity, Evaluation):
+                raise ParameterError(f"edge {i} has capacity {e.capacity!r}, "
+                                     "which is not an Evaluation")
+        nodes = self.nodes
+        index = {node: i for i, node in enumerate(nodes)}
+        tails, heads = [], []
+        for i, e in enumerate(edges):
+            try:
+                tails.append(index[e.tail])
+                heads.append(index[e.head])
+            except (KeyError, TypeError):  # TypeError: an unhashable node
+                stray = e.head if e.tail in nodes else e.tail
+                raise ParameterError(f"edge {i} names {stray!r}, which is "
+                                     "not a node of the network") from None
+        return (tuple(tails), tuple(heads),
+                tuple(e.capacity for e in edges),
+                tuple(e.constraint_index for e in edges))
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowNetwork):
+            return NotImplemented
+        return ((self.variables, self.m, self.edges)
+                == (other.variables, other.m, other.edges))
+
+    def __hash__(self):
+        return hash((self.variables, self.m, self.edges))
 
 
 @dataclass(frozen=True)
@@ -75,26 +152,45 @@ def build_network(instance: Instance) -> FlowNetwork:
     nodes.
     """
     m = instance.domain_size
-    if len(instance.variables) * (m + 1) > NETWORK_GUARD:
-        raise TooLarge(f"{len(instance.variables)} chains of {m + 1} level "
+    variables = instance.variables
+    if len(variables) * (m + 1) > NETWORK_GUARD:
+        raise TooLarge(f"{len(variables)} chains of {m + 1} level "
                        "nodes exceed the network guard")
-    edges = []
-    for v in instance.variables:
-        edges.append(FlowEdge(SOURCE, (v, m), INF, None))
-        edges.append(FlowEdge((v, 0), SINK, INF, None))
-        for d in range(m):
-            edges.append(FlowEdge((v, d), (v, d + 1), INF, None))
+    # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
+    tails, heads = [], []
+    level0 = {}  # variable -> the id of its level 0
+    for i, v in enumerate(variables):
+        base = level0[v] = 2 + i * (m + 1)
+        tails += (0, base)
+        tails.extend(range(base, base + m))
+        heads += (base + m, 1)
+        heads.extend(range(base + 1, base + m + 1))
+    capacities = [INF] * len(tails)
+    constraints = [None] * len(tails)
     for index, c in enumerate(instance.constraints):
         f = c.function
         if not isinstance(f, IntervalFunction):
             raise WrongConstraintKind(
                 f"constraint {index} is a {type(f).__name__}; "
                 "decompose tables before building the network")
-        if f.penalty == ZERO:
+        if f.penalty.is_zero:
             continue
         v, w = c.scope
-        edges.append(FlowEdge((w, f.y_max), (v, f.x_min - 1), f.penalty, index))
-    return FlowNetwork(tuple(instance.variables), m, tuple(edges))
+        tails.append(level0[w] + f.y_max)
+        heads.append(level0[v] + f.x_min - 1)
+        capacities.append(f.penalty)
+        constraints.append(index)
+    # equal ids share one int object, so the engine touches fewer objects
+    node = list(range(2 + len(variables) * (m + 1))).__getitem__
+    return FlowNetwork._from_arcs(variables, m, (
+        tuple(map(node, tails)), tuple(map(node, heads)), tuple(capacities),
+        tuple(constraints)))
+
+
+def _by_identity(values) -> tuple[list, dict]:
+    """The id of each value, and each distinct value object by its id."""
+    keys = list(map(id, values))
+    return keys, dict(zip(keys, values))
 
 
 def min_cut(network: FlowNetwork) -> CutResult:
@@ -108,36 +204,28 @@ def min_cut(network: FlowNetwork) -> CutResult:
     An edge naming a node outside the network, or whose capacity is not an
     Evaluation, raises ParameterError.
     """
+    tails, heads, capacities, _ = network._number()
     nodes = network.nodes
-    index = {node: i for i, node in enumerate(nodes)}
-    finite = []
-    for i, e in enumerate(network.edges):
-        if not isinstance(e.capacity, Evaluation):
-            raise ParameterError(f"edge {i} has capacity {e.capacity!r}, "
-                                 "which is not an Evaluation")
-        if not e.capacity.is_infinite:
-            finite.append(e.capacity.fraction)
+    # each distinct capacity object is scaled once; None stands for INF
+    keys, distinct = _by_identity(capacities)
+    finite = [c.fraction for c in distinct.values() if not c.is_infinite]
     scale = lcm(*(f.denominator for f in finite))
-    big = sum(f.numerator * (scale // f.denominator) for f in finite) + 1
+    scaled = {key: None if c.is_infinite
+              else c.fraction.numerator * (scale // c.fraction.denominator)
+              for key, c in distinct.items()}
+    caps = list(map(scaled.__getitem__, keys))
+    big = sum(filter(None, caps)) + 1
 
-    # adjacency as arc lists; arc i and i^1 are a residual pair
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
+    # arc 2i runs along edge i and arc 2i + 1 against it: a residual pair
+    arc_to = [0] * (2 * len(tails))
+    arc_to[0::2] = heads
+    arc_to[1::2] = tails
+    arc_cap = [0] * len(arc_to)
+    arc_cap[0::2] = [big if c is None else c for c in caps]
     adjacency: list[list[int]] = [[] for _ in nodes]
-    for i, e in enumerate(network.edges):
-        try:
-            u, v = index[e.tail], index[e.head]
-        except (KeyError, TypeError):  # TypeError: an unhashable node
-            stray = e.head if e.tail in nodes else e.tail
-            raise ParameterError(f"edge {i} names {stray!r}, which is not a "
-                                 "node of the network") from None
-        cap = e.capacity
-        c = big if cap.is_infinite else (
-            cap.fraction.numerator * (scale // cap.fraction.denominator))
-        adjacency[u].append(len(arc_to))
-        adjacency[v].append(len(arc_to) + 1)
-        arc_to += (v, u)
-        arc_cap += (c, 0)
+    for a, u, v in zip(count(0, 2), tails, heads):
+        adjacency[u].append(a)
+        adjacency[v].append(a + 1)
 
     residual = arc_cap.copy()
     flow, reached = _max_flow(len(nodes), arc_to, residual, adjacency, 0, 1)
@@ -327,10 +415,11 @@ def _node_name(node) -> str:
 
 def format_network(network: FlowNetwork) -> str:
     """One line per edge: ``from to capacity tag``."""
-    lines = []
-    for e in network.edges:
-        tag = ("structural" if e.constraint_index is None
-               else f"constraint:{e.constraint_index}")
-        lines.append(f"{_node_name(e.tail)} {_node_name(e.head)} "
-                     f"{e.capacity} {tag}")
-    return "".join(line + "\n" for line in lines)
+    tails, heads, capacities, constraints = network._number()
+    name = list(map(_node_name, network.nodes))
+    keys, distinct = _by_identity(capacities)
+    text = {key: str(c) for key, c in distinct.items()}
+    return "".join(
+        f"{name[u]} {name[v]} {text[key]} "
+        f"{'structural' if k is None else f'constraint:{k}'}\n"
+        for u, v, key, k in zip(tails, heads, keys, constraints))

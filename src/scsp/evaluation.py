@@ -12,12 +12,38 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
 from .errors import PreconditionViolated
 
 
+def frozen_slots(cls):
+    """Mend the attribute guards of a ``dataclass(frozen=True, slots=True)``.
+
+    The ``__setattr__`` and ``__delattr__`` that dataclasses generates name
+    the class that ``slots=True`` then replaces, so setting or deleting a
+    name that is not a field raises TypeError from ``super()``.  These
+    refuse the fields with FrozenInstanceError and leave every other name
+    to ``object``, which raises AttributeError on a slotted instance.
+    """
+    names = frozenset(f.name for f in fields(cls))
+
+    def __setattr__(self, name, value):
+        if name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@frozen_slots
 @functools.total_ordering
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Evaluation:

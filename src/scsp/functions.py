@@ -27,7 +27,7 @@ from math import isqrt
 
 from .errors import (ApproximationBrokeSubmodularity, DomainError,
                      ParameterError)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation
+from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class IntervalFunction:
         return self.penalty
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True)
 class UnaryTable:
     """Explicit penalty table for one variable; entry d is the cost of d."""
@@ -94,6 +95,7 @@ class UnaryTable:
         return f"UnaryTable([{', '.join(str(v) for v in self.values)}])"
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True)
 class BinaryTable:
     """Explicit penalty table for a pair of variables, M rows by M columns.

@@ -87,18 +87,22 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
 
 
 def evaluate(instance: Instance, assignment: Assignment) -> Evaluation:
-    """Total penalty of the assignment: the sum over all constraints."""
+    """Total penalty of the assignment: the sum over all constraints.
+
+    A constraint that does not charge the assignment usually returns the
+    shared ZERO, which is skipped rather than added.
+    """
     check_assignment(instance, assignment)
     total = ZERO
     for c in instance.constraints:
         f = c.function
         if isinstance(f, UnaryTable):
-            total = total + f.value_at(assignment[c.scope[0]])
+            value = f.value_at(assignment[c.scope[0]])
         elif isinstance(f, BinaryTable):
-            total = total + f.value_at(assignment[c.scope[0]],
-                                       assignment[c.scope[1]])
+            value = f.value_at(assignment[c.scope[0]], assignment[c.scope[1]])
         else:
-            total = total + f.value_at(assignment[c.scope[0]],
-                                       assignment[c.scope[1]],
-                                       instance.domain_size)
+            value = f.value_at(assignment[c.scope[0]], assignment[c.scope[1]],
+                               instance.domain_size)
+        if value is not ZERO:
+            total = total + value
     return total

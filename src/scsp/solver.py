@@ -88,7 +88,7 @@ def _expand(constraint: SoftConstraint, m: int, index: int | None,
     decomposed again, only routed onto this constraint's scope."""
     f = constraint.function
     if isinstance(f, IntervalFunction):
-        return () if f.penalty == ZERO else (constraint,)
+        return () if f.penalty.is_zero else (constraint,)
     v, w = constraint.scope[0], constraint.scope[-1]
     key = _key(constraint)
     terms = memo.get(key)

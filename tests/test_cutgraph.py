@@ -132,6 +132,34 @@ class TestBuildNetwork:
         with pytest.raises(TooLarge):
             build_network(Instance(("a", "b"), 5, ()))
 
+    def test_solve_builds_no_flow_edge(self, monkeypatch):
+        # the network is numbered from the start; FlowEdge is only a view
+        class Refused(FlowEdge):
+            def __init__(self, *args):
+                raise AssertionError("solve built a FlowEdge")
+
+        rng = random.Random(71)
+        instances = [random_mixed_instance(rng) for _ in range(40)]
+        instances += [random_gi_instance(rng) for _ in range(40)]
+        expected = [solve(inst) for inst in instances]
+        monkeypatch.setattr(cutgraph, "FlowEdge", Refused)
+        assert [solve(inst) for inst in instances] == expected
+        with pytest.raises(AssertionError, match="built a FlowEdge"):
+            solve(instances[-1]).network.edges
+
+    def test_numbered_network_matches_its_edge_view(self):
+        # min_cut and format_network read build_network's numbering; a
+        # network built by hand from its FlowEdge view must give the same
+        rng = random.Random(72)
+        for _ in range(200):
+            inst = compile_to_intervals(random_mixed_instance(rng))
+            net = build_network(inst)
+            by_hand = FlowNetwork(inst.variables, inst.domain_size,
+                                  tuple(net.edges))
+            assert by_hand == net
+            assert min_cut(by_hand) == min_cut(net)
+            assert format_network(by_hand) == format_network(net)
+
 
 class TestMinCut:
     def test_unconstrained_variable_costs_nothing(self):
