@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input, 2 a binary table constraint is
 not submodular, 3 an oversized instance: too many assignments for the
-brute-force oracle, or too many level nodes for the flow network.
+brute-force oracle, too many interval constraints to compile, or too many
+level nodes for the flow network.
 """
 
 from __future__ import annotations

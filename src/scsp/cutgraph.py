@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import lcm
 
@@ -39,6 +40,7 @@ SOURCE = "S"
 SINK = "T"
 
 NETWORK_GUARD = 10 ** 6  # most level nodes build_network will allocate
+TERMS_GUARD = 10 ** 6  # most interval constraints compile will route
 
 
 @dataclass(frozen=True)
@@ -51,63 +53,33 @@ class FlowEdge:
     constraint_index: int | None
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False)
 class FlowNetwork:
     """A flow network over S, T and the level nodes of ``variables``.
 
-    ``FlowNetwork(variables, m, edges)`` builds one by hand; its edges are
-    numbered, and checked, when a cut or a listing needs them.
-    :func:`build_network` stores the numbered form directly, and
-    ``edges`` builds the :class:`FlowEdge` tuple from it on first access.
-    Networks compare and hash by variables, m and edges.
+    ``FlowNetwork(variables, m, edges)`` builds one by hand: its edges are
+    numbered, and checked, when it is constructed.  An edge that names a
+    node outside ``nodes``, or whose capacity is not an Evaluation, raises
+    ParameterError.  :func:`build_network` stores the numbered form
+    directly, and ``edges`` builds the :class:`FlowEdge` tuple from it on
+    first access.  Networks compare and hash by variables, m and the
+    numbered edges; for given variables and m, equal edges number equally
+    and unequal edges unequally.
     """
 
     variables: tuple[str, ...]
     m: int
-    _edges: tuple[FlowEdge, ...] | None = field(repr=False)
-    _arcs: tuple[tuple, tuple, tuple, tuple] | None = field(repr=False)
+    # tail ids, head ids, capacities and constraint indices, in edge order
+    _arcs: tuple[tuple, tuple, tuple, tuple] = field(repr=False)
 
     def __init__(self, variables, m: int, edges):
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_edges", tuple(edges))
-        object.__setattr__(self, "_arcs", None)
-
-    @classmethod
-    def _from_arcs(cls, variables, m, arcs):
-        network = cls(variables, m, ())
-        object.__setattr__(network, "_edges", None)
-        object.__setattr__(network, "_arcs", arcs)
-        return network
-
-    @property
-    def nodes(self) -> tuple:
-        level_nodes = tuple((v, d) for v in self.variables
-                            for d in range(self.m + 1))
-        return (SOURCE, SINK) + level_nodes
-
-    @property
-    def edges(self) -> tuple[FlowEdge, ...]:
-        if self._edges is None:
-            node = self.nodes.__getitem__
-            tails, heads, capacities, constraints = self._arcs
-            object.__setattr__(self, "_edges", tuple(map(
-                FlowEdge, map(node, tails), map(node, heads), capacities,
-                constraints)))
-        return self._edges
-
-    def _number(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """The edges as parallel tuples: tail ids, head ids, capacities and
-        constraint indices.  An edge of a hand-built network that names a
-        node outside ``nodes``, or whose capacity is not an Evaluation,
-        raises ParameterError."""
-        if self._arcs is not None:
-            return self._arcs
-        edges = self._edges
+        variables, edges = tuple(variables), tuple(edges)
         for i, e in enumerate(edges):
             if not isinstance(e.capacity, Evaluation):
                 raise ParameterError(f"edge {i} has capacity {e.capacity!r}, "
                                      "which is not an Evaluation")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "m", m)
         nodes = self.nodes
         index = {node: i for i, node in enumerate(nodes)}
         tails, heads = [], []
@@ -119,18 +91,30 @@ class FlowNetwork:
                 stray = e.head if e.tail in nodes else e.tail
                 raise ParameterError(f"edge {i} names {stray!r}, which is "
                                      "not a node of the network") from None
-        return (tuple(tails), tuple(heads),
-                tuple(e.capacity for e in edges),
-                tuple(e.constraint_index for e in edges))
+        object.__setattr__(self, "_arcs", (
+            tuple(tails), tuple(heads), tuple(e.capacity for e in edges),
+            tuple(e.constraint_index for e in edges)))
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowNetwork):
-            return NotImplemented
-        return ((self.variables, self.m, self.edges)
-                == (other.variables, other.m, other.edges))
+    @classmethod
+    def _from_arcs(cls, variables, m, arcs):
+        network = object.__new__(cls)
+        object.__setattr__(network, "variables", variables)
+        object.__setattr__(network, "m", m)
+        object.__setattr__(network, "_arcs", arcs)
+        return network
 
-    def __hash__(self):
-        return hash((self.variables, self.m, self.edges))
+    @property
+    def nodes(self) -> tuple:
+        level_nodes = tuple((v, d) for v in self.variables
+                            for d in range(self.m + 1))
+        return (SOURCE, SINK) + level_nodes
+
+    @cached_property
+    def edges(self) -> tuple[FlowEdge, ...]:
+        node = self.nodes.__getitem__
+        tails, heads, capacities, constraints = self._arcs
+        return tuple(map(FlowEdge, map(node, tails), map(node, heads),
+                         capacities, constraints))
 
 
 @dataclass(frozen=True)
@@ -201,10 +185,8 @@ def min_cut(network: FlowNetwork) -> CutResult:
     is the set of nodes reachable from the source in the final residual
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
-    An edge naming a node outside the network, or whose capacity is not an
-    Evaluation, raises ParameterError.
     """
-    tails, heads, capacities, _ = network._number()
+    tails, heads, capacities, _ = network._arcs
     nodes = network.nodes
     # each distinct capacity object is scaled once; None stands for INF
     keys, distinct = _by_identity(capacities)
@@ -415,7 +397,7 @@ def _node_name(node) -> str:
 
 def format_network(network: FlowNetwork) -> str:
     """One line per edge: ``from to capacity tag``."""
-    tails, heads, capacities, constraints = network._number()
+    tails, heads, capacities, constraints = network._arcs
     name = list(map(_node_name, network.nodes))
     keys, distinct = _by_identity(capacities)
     text = {key: str(c) for key, c in distinct.items()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import cutgraph
 from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
                      NotSubmodular, ParameterError, TooLarge)
@@ -82,21 +83,30 @@ def _key(constraint: SoftConstraint) -> tuple:
 
 
 def _expand(constraint: SoftConstraint, m: int, index: int | None,
-            memo: dict) -> tuple[SoftConstraint, ...]:
+            memo: dict, room: int) -> tuple[SoftConstraint, ...]:
     """:func:`expand_constraint`, with each table's terms kept in ``memo``
     under :func:`_key`: a table seen before is neither checked nor
-    decomposed again, only routed onto this constraint's scope."""
+    decomposed again, only routed onto this constraint's scope.  Raises
+    TooLarge, before routing, when the constraint would yield more than
+    ``room`` interval constraints."""
     f = constraint.function
-    if isinstance(f, IntervalFunction):
-        return () if f.penalty.is_zero else (constraint,)
     v, w = constraint.scope[0], constraint.scope[-1]
-    key = _key(constraint)
-    terms = memo.get(key)
-    if terms is None:
-        try:
-            terms = memo[key] = _terms(f, m, v == w)
-        except NotSubmodular as err:
-            raise NotSubmodular(err.witness, constraint_index=index) from None
+    if isinstance(f, IntervalFunction):
+        terms = () if f.penalty.is_zero else (constraint,)
+    else:
+        key = _key(constraint)
+        terms = memo.get(key)
+        if terms is None:
+            try:
+                terms = memo[key] = _terms(f, m, v == w)
+            except NotSubmodular as err:
+                raise NotSubmodular(err.witness,
+                                    constraint_index=index) from None
+    if len(terms) > room:
+        raise TooLarge(f"constraint {index} takes the compiled instance "
+                       f"past {cutgraph.TERMS_GUARD} interval constraints")
+    if isinstance(f, IntervalFunction):
+        return terms
     return tuple(_route(t, v, w) for t in terms)
 
 
@@ -107,19 +117,25 @@ def expand_constraint(constraint: SoftConstraint, m: int,
     Table constraints are decomposed; interval constraints pass through
     (zero-penalty ones are dropped).  A binary table on a repeated scope
     only ever sees its diagonal, so it reduces to a unary table with no
-    submodularity requirement.
+    submodularity requirement.  Raises TooLarge when the rewriting would
+    hold more than ``cutgraph.TERMS_GUARD`` interval constraints.
     """
-    return _expand(constraint, m, index, {})
+    return _expand(constraint, m, index, {}, cutgraph.TERMS_GUARD)
 
 
 def _expansions(instance: Instance):
     """Each constraint, in order, with its :func:`expand_constraint`
     rewriting; one memo serves the whole instance, so each distinct table
-    is checked and decomposed once."""
+    is checked and decomposed once.  Raises TooLarge before routing the
+    constraint that would take the rewritings past ``cutgraph.TERMS_GUARD``
+    interval constraints in all."""
     m = instance.domain_size
     memo: dict = {}
+    routed = 0
     for index, c in enumerate(instance.constraints):
-        yield c, _expand(c, m, index, memo)
+        parts = _expand(c, m, index, memo, cutgraph.TERMS_GUARD - routed)
+        routed += len(parts)
+        yield c, parts
 
 
 def compile_to_intervals(instance: Instance) -> Instance:
@@ -127,8 +143,10 @@ def compile_to_intervals(instance: Instance) -> Instance:
 
     Pointwise equivalent: every assignment keeps its evaluation.  Raises
     NotSubmodular, tagged with the index of the first constraint that holds
-    it, if a binary table over two distinct variables is not submodular.
-    Each distinct table is checked and decomposed once per call.
+    it, if a binary table over two distinct variables is not submodular,
+    and TooLarge if it would hold more than ``cutgraph.TERMS_GUARD``
+    interval constraints.  Each distinct table is checked and decomposed
+    once per call.
     """
     constraints = tuple(part for _, parts in _expansions(instance)
                         for part in parts)

@@ -8,10 +8,11 @@ construction and the decomposition round trip has a known-good input.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
-from scsp import (INF, PATTERNS, BinaryTable, Instance, IntervalFunction,
-                  SoftConstraint, UnaryTable, as_evaluation)
+from scsp import (INF, PATTERNS, SINK, SOURCE, BinaryTable, Instance,
+                  IntervalFunction, SoftConstraint, UnaryTable, as_evaluation)
 
 
 def table(rows) -> BinaryTable:
@@ -131,3 +132,21 @@ def perturb_entry(rng: random.Random, t: BinaryTable) -> BinaryTable:
     else:
         rows[i][j] = rows[i][j] + as_evaluation(rng.randint(1, 10))
     return BinaryTable(rows)
+
+
+def reaches_sink_avoiding(network, cut_edges):
+    """Directed reachability from SOURCE to SINK skipping the cut edges."""
+    skip = set(cut_edges)
+    outgoing = {}
+    for i, e in enumerate(network.edges):
+        if i not in skip:
+            outgoing.setdefault(e.tail, []).append(e.head)
+    seen = {SOURCE}
+    queue = deque([SOURCE])
+    while queue:
+        u = queue.popleft()
+        for v in outgoing.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return SINK in seen

@@ -8,18 +8,17 @@ read the -v listing) to see the per-criterion lines.
 import itertools
 import random
 import time
-from collections import deque
 from fractions import Fraction
 
 from helpers import (random_assignment, random_gi_instance,
-                     random_mixed_instance, random_submodular_table)
-from scsp import (INF, SINK, SOURCE, FlowEdge, Instance, IntervalFunction,
-                  IntervalTerm, SoftConstraint, as_evaluation, brute_force,
-                  build_network, cut_from_assignment,
-                  decompose_binary, evaluate, find_violation,
-                  find_violation_full, is_submodular, parse_instance,
-                  product_complement, reconstruct, solve, term_table,
-                  xor_gadget, xor_penalty)
+                     random_mixed_instance, random_submodular_table,
+                     reaches_sink_avoiding)
+from scsp import (INF, FlowEdge, Instance, IntervalFunction, IntervalTerm,
+                  SoftConstraint, as_evaluation, brute_force, build_network,
+                  cut_from_assignment, decompose_binary, evaluate,
+                  find_violation, find_violation_full, is_submodular,
+                  parse_instance, product_complement, reconstruct, solve,
+                  term_table, xor_gadget, xor_penalty)
 
 
 def ok(n, text):
@@ -169,23 +168,6 @@ def test_criterion_07_check_equivalence():
     assert agreements == 500
     ok(7, "fast submodularity check matches the full-quadruple reference "
           "on 500 tables")
-
-
-def reaches_sink_avoiding(network, cut_edges):
-    skip = set(cut_edges)
-    outgoing = {}
-    for i, e in enumerate(network.edges):
-        if i not in skip:
-            outgoing.setdefault(e.tail, []).append(e.head)
-    seen = {SOURCE}
-    queue = deque([SOURCE])
-    while queue:
-        u = queue.popleft()
-        for v in outgoing.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return SINK in seen
 
 
 def test_criterion_08_assignment_cuts():

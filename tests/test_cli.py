@@ -180,6 +180,20 @@ def test_network_guard_exit_code(capsys, tmp_path, command):
     assert code == 3 and out.strip() == "too large" and err == ""
 
 
+def test_terms_guard_exit_code(capsys, data_dir, monkeypatch):
+    # quadratic.scsp compiles to more than one interval constraint
+    monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", 1)
+    source = str(data_dir / "quadratic.scsp")
+    for command in ("solve", "graph"):
+        code, out, err = run(capsys, command, source)
+        assert code == 3 and out.strip() == "too large" and err == ""
+    # decompose prints the terms routed before the refusal
+    code, out, _ = run(capsys, "decompose", source)
+    assert code == 3 and out.splitlines()[-1] == "too large"
+    code, out, _ = run(capsys, "check", source)
+    assert code == 0 and out.strip() == "submodular"
+
+
 class TestGraph:
     def test_chain_edge_list(self, capsys, chain_file):
         code, out, _ = run(capsys, "graph", str(chain_file))

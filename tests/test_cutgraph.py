@@ -1,6 +1,7 @@
 """Network construction, exact min cut, and the assignment/cut dictionary."""
 
 import itertools
+import pickle
 import random
 import re
 from collections import deque
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_assignment, random_gi_instance,
-                     random_mixed_instance, unary)
+                     random_mixed_instance, reaches_sink_avoiding, unary)
 from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, FlowNetwork, Instance,
                   IntervalFunction, SoftConstraint, as_evaluation,
                   brute_force, build_network, compile_to_intervals,
@@ -22,24 +23,6 @@ from scsp import cutgraph
 from scsp.cutgraph import NETWORK_GUARD
 from scsp.errors import (CutMismatch, DomainError, ParameterError, ScopeError,
                          TooLarge, WrongConstraintKind)
-
-
-def reaches_sink_avoiding(network, cut_edges):
-    """Directed reachability from SOURCE to SINK skipping the cut edges."""
-    skip = set(cut_edges)
-    outgoing = {}
-    for i, e in enumerate(network.edges):
-        if i not in skip:
-            outgoing.setdefault(e.tail, []).append(e.head)
-    seen = {SOURCE}
-    queue = deque([SOURCE])
-    while queue:
-        u = queue.popleft()
-        for v in outgoing.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return SINK in seen
 
 
 def networkx_cut(network, flow_func=None):
@@ -144,6 +127,9 @@ class TestBuildNetwork:
         expected = [solve(inst) for inst in instances]
         monkeypatch.setattr(cutgraph, "FlowEdge", Refused)
         assert [solve(inst) for inst in instances] == expected
+        for inst in instances:
+            assert (solve(inst).network
+                    == build_network(compile_to_intervals(inst)))
         with pytest.raises(AssertionError, match="built a FlowEdge"):
             solve(instances[-1]).network.edges
 
@@ -157,6 +143,8 @@ class TestBuildNetwork:
             by_hand = FlowNetwork(inst.variables, inst.domain_size,
                                   tuple(net.edges))
             assert by_hand == net
+            assert hash(by_hand) == hash(net)
+            assert pickle.loads(pickle.dumps(net)) == net
             assert min_cut(by_hand) == min_cut(net)
             assert format_network(by_hand) == format_network(net)
 
@@ -272,9 +260,8 @@ class TestMinCut:
         cases.append((FlowEdge(SOURCE, ("x", 1), 1, 0),
                       "edge 1 has capacity 1,"))
         for edge, message in cases:
-            net = FlowNetwork(("x",), 2, (chain, edge))
             with pytest.raises(ParameterError, match=re.escape(message)):
-                min_cut(net)
+                FlowNetwork(("x",), 2, (chain, edge))
 
     def test_each_node_is_queued_once(self, monkeypatch):
         # a dense table on every pair of four variables: freed orphans

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from helpers import random_mixed_instance, random_submodular_table, unary
 import scsp.solver
 from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
-                  arith_relation, as_evaluation, brute_force, build_network,
-                  compile_to_intervals, crisp_relation, delay, evaluate,
-                  expand_constraint, parse_instance, solve, xor_penalty)
+                  abs_diff, arith_relation, as_evaluation, brute_force,
+                  build_network, compile_to_intervals, crisp_relation, delay,
+                  evaluate, expand_constraint, parse_instance, solve,
+                  xor_penalty)
 from scsp.errors import CutMismatch, NotSubmodular, TooLarge
 from scsp.solver import Solution, check_constraint
 
@@ -287,6 +288,41 @@ def test_solve_matches_brute_force_on_drawn_instances(inst):
     sol = solve(inst)
     assert evaluate(inst, sol.assignment) == sol.evaluation
     assert sol.evaluation == brute_force(inst).evaluation
+
+
+class TestTermsGuard:
+    def test_refuses_before_routing_past_the_guard(self, monkeypatch):
+        rng = random.Random(93)
+        instances = [random_mixed_instance(rng) for _ in range(100)]
+        sizes = [len(compile_to_intervals(inst).constraints)
+                 for inst in instances]
+        route = scsp.solver._route
+        routed = []
+        monkeypatch.setattr(scsp.solver, "_route",
+                            lambda *args: routed.append(args) or route(*args))
+        refused = 0
+        for inst, n in zip(instances, sizes):
+            monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", n)
+            assert len(compile_to_intervals(inst).constraints) == n
+            assert solve(inst).evaluation == brute_force(inst).evaluation
+            if n == 0:
+                continue
+            monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", n - 1)
+            routed.clear()
+            with pytest.raises(TooLarge):
+                compile_to_intervals(inst)
+            assert len(routed) <= n - 1
+            with pytest.raises(TooLarge):
+                solve(inst)
+            refused += 1
+        assert refused > 80
+
+    def test_one_constraint_past_the_guard(self, monkeypatch):
+        c = SoftConstraint(("a", "b"), abs_diff(4))
+        terms = len(expand_constraint(c, 4))
+        monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", terms - 1)
+        with pytest.raises(TooLarge):
+            expand_constraint(c, 4)
 
 
 class TestBruteForce:
