@@ -10,9 +10,9 @@ the cut exactly when the assignment pays p.
 The node set depends on the variables alone, so every node has an integer
 id before any constraint is read: S is 0, T is 1, and (v, d) for the i-th
 variable is 2 + i*(M + 1) + d, its position in ``FlowNetwork.nodes``.  A
-network is held as parallel tuples of tail ids, head ids, capacities and
-constraint indices in edge order; its ``edges``, a tuple of
-:class:`FlowEdge`, is a view built on first access.
+network is its variables, M and four parallel tuples in edge order: tail
+ids, head ids, capacities and constraint indices.  Its ``edges``, a tuple
+of :class:`FlowEdge`, is built from them on each access.
 
 Infinite capacities never enter the flow computation as a sentinel the
 arithmetic could overflow; they are replaced by one unit more than the sum
@@ -27,8 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import count
+from itertools import compress, count, repeat
 from math import lcm
 
 from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
@@ -53,55 +52,65 @@ class FlowEdge:
     constraint_index: int | None
 
 
-@dataclass(frozen=True, init=False)
+def _level_nodes(variables, m: int) -> int:
+    """How many level nodes there are; TooLarge past NETWORK_GUARD."""
+    if len(variables) * (m + 1) > NETWORK_GUARD:
+        raise TooLarge(f"{len(variables)} chains of {m + 1} level "
+                       "nodes exceed the network guard")
+    return len(variables) * (m + 1)
+
+
+@dataclass(frozen=True)
 class FlowNetwork:
     """A flow network over S, T and the level nodes of ``variables``.
 
-    ``FlowNetwork(variables, m, edges)`` builds one by hand: its edges are
-    numbered, and checked, when it is constructed.  An edge that names a
-    node outside ``nodes``, or whose capacity is not an Evaluation, raises
-    ParameterError.  :func:`build_network` stores the numbered form
-    directly, and ``edges`` builds the :class:`FlowEdge` tuple from it on
-    first access.  Networks compare and hash by variables, m and the
-    numbered edges; for given variables and m, equal edges number equally
-    and unequal edges unequally.
+    Edge i runs from node ``tails[i]`` to node ``heads[i]``, ids being
+    positions in ``nodes``; ``constraint_indices[i]`` is None for a
+    structural edge.  Every network is checked when it is constructed:
+    TooLarge past NETWORK_GUARD level nodes, before any id is allocated;
+    ParameterError for an m that is not a positive int, repeated
+    variables, edge tuples of unequal lengths, a capacity that is not an
+    Evaluation or an id that is not a node's.
     """
 
     variables: tuple[str, ...]
     m: int
-    # tail ids, head ids, capacities and constraint indices, in edge order
-    _arcs: tuple[tuple, tuple, tuple, tuple] = field(repr=False)
+    tails: tuple[int, ...] = field(repr=False)
+    heads: tuple[int, ...] = field(repr=False)
+    capacities: tuple[Evaluation, ...] = field(repr=False)
+    constraint_indices: tuple[int | None, ...] = field(repr=False)
 
-    def __init__(self, variables, m: int, edges):
-        variables, edges = tuple(variables), tuple(edges)
-        for i, e in enumerate(edges):
-            if not isinstance(e.capacity, Evaluation):
-                raise ParameterError(f"edge {i} has capacity {e.capacity!r}, "
-                                     "which is not an Evaluation")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "m", m)
-        nodes = self.nodes
-        index = {node: i for i, node in enumerate(nodes)}
-        tails, heads = [], []
-        for i, e in enumerate(edges):
-            try:
-                tails.append(index[e.tail])
-                heads.append(index[e.head])
-            except (KeyError, TypeError):  # TypeError: an unhashable node
-                stray = e.head if e.tail in nodes else e.tail
-                raise ParameterError(f"edge {i} names {stray!r}, which is "
-                                     "not a node of the network") from None
-        object.__setattr__(self, "_arcs", (
-            tuple(tails), tuple(heads), tuple(e.capacity for e in edges),
-            tuple(e.constraint_index for e in edges)))
-
-    @classmethod
-    def _from_arcs(cls, variables, m, arcs):
-        network = object.__new__(cls)
-        object.__setattr__(network, "variables", variables)
-        object.__setattr__(network, "m", m)
-        object.__setattr__(network, "_arcs", arcs)
-        return network
+    def __post_init__(self):
+        variables, m = tuple(self.variables), self.m
+        if not isinstance(m, int) or m < 1:
+            raise ParameterError(f"m must be a positive integer, got {m!r}")
+        n = 2 + _level_nodes(variables, m)
+        if len(set(variables)) != len(variables):
+            raise ParameterError("variable names must be unique")
+        tails, heads, capacities, constraints = map(tuple, (
+            self.tails, self.heads, self.capacities, self.constraint_indices))
+        if not len(tails) == len(heads) == len(capacities) == len(constraints):
+            raise ParameterError("tails, heads, capacities and constraint "
+                                 "indices must have one length")
+        if not all(map(isinstance, capacities, repeat(Evaluation))):
+            i = [isinstance(c, Evaluation) for c in capacities].index(False)
+            raise ParameterError(f"edge {i} has capacity {capacities[i]!r}, "
+                                 "which is not an Evaluation")
+        # equal ids share one int object, so the engine touches fewer objects
+        node = list(range(n)).__getitem__
+        try:
+            ids = tuple(map(node, tails)), tuple(map(node, heads))
+            valid = min(tails, default=0) >= 0 and min(heads, default=0) >= 0
+        except (IndexError, TypeError):
+            valid = False
+        if not valid:
+            i = next(i for i, ends in enumerate(zip(tails, heads)) if not all(
+                isinstance(u, int) and 0 <= u < n for u in ends))
+            raise ParameterError(f"edge {i} runs from {tails[i]!r} to "
+                                 f"{heads[i]!r}, not between node ids")
+        for name, value in zip(self.__dataclass_fields__, (
+                variables, m, *ids, capacities, constraints)):
+            object.__setattr__(self, name, value)
 
     @property
     def nodes(self) -> tuple:
@@ -109,12 +118,13 @@ class FlowNetwork:
                             for d in range(self.m + 1))
         return (SOURCE, SINK) + level_nodes
 
-    @cached_property
+    @property
     def edges(self) -> tuple[FlowEdge, ...]:
+        """The edges as FlowEdges over ``nodes``, built on each access."""
         node = self.nodes.__getitem__
-        tails, heads, capacities, constraints = self._arcs
-        return tuple(map(FlowEdge, map(node, tails), map(node, heads),
-                         capacities, constraints))
+        return tuple(map(FlowEdge, map(node, self.tails),
+                         map(node, self.heads), self.capacities,
+                         self.constraint_indices))
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,7 @@ def build_network(instance: Instance) -> FlowNetwork:
     """
     m = instance.domain_size
     variables = instance.variables
-    if len(variables) * (m + 1) > NETWORK_GUARD:
-        raise TooLarge(f"{len(variables)} chains of {m + 1} level "
-                       "nodes exceed the network guard")
+    _level_nodes(variables, m)
     # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
     tails, heads = [], []
     level0 = {}  # variable -> the id of its level 0
@@ -164,11 +172,7 @@ def build_network(instance: Instance) -> FlowNetwork:
         heads.append(level0[v] + f.x_min - 1)
         capacities.append(f.penalty)
         constraints.append(index)
-    # equal ids share one int object, so the engine touches fewer objects
-    node = list(range(2 + len(variables) * (m + 1))).__getitem__
-    return FlowNetwork._from_arcs(variables, m, (
-        tuple(map(node, tails)), tuple(map(node, heads)), tuple(capacities),
-        tuple(constraints)))
+    return FlowNetwork(variables, m, tails, heads, capacities, constraints)
 
 
 def _by_identity(values) -> tuple[list, dict]:
@@ -186,10 +190,10 @@ def min_cut(network: FlowNetwork) -> CutResult:
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
     """
-    tails, heads, capacities, _ = network._arcs
+    tails, heads = network.tails, network.heads
     nodes = network.nodes
     # each distinct capacity object is scaled once; None stands for INF
-    keys, distinct = _by_identity(capacities)
+    keys, distinct = _by_identity(network.capacities)
     finite = [c.fraction for c in distinct.values() if not c.is_infinite]
     scale = lcm(*(f.denominator for f in finite))
     scaled = {key: None if c.is_infinite
@@ -378,30 +382,25 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
     equals the assignment's evaluation.
     """
     check_assignment(Instance(network.variables, network.m, ()), assignment)
-    side = {SOURCE}
+    inside = [True, False]  # by node id, starting with S and T
     for v in network.variables:
-        side.update((v, d) for d in range(assignment[v], network.m + 1))
-    cut_edges = tuple(i for i, e in enumerate(network.edges)
-                      if e.tail in side and e.head not in side)
-    value = ZERO
-    for i in cut_edges:
-        value = value + network.edges[i].capacity
-    return CutResult(value, frozenset(side), cut_edges)
-
-
-def _node_name(node) -> str:
-    if node == SOURCE or node == SINK:
-        return node
-    return f"{node[0]}_{node[1]}"
+        inside += [assignment[v] <= d for d in range(network.m + 1)]
+    cut_edges = tuple(i for i, u, v in zip(count(), network.tails,
+                                           network.heads)
+                      if inside[u] and not inside[v])
+    value = sum(map(network.capacities.__getitem__, cut_edges), ZERO)
+    return CutResult(value, frozenset(compress(network.nodes, inside)),
+                     cut_edges)
 
 
 def format_network(network: FlowNetwork) -> str:
     """One line per edge: ``from to capacity tag``."""
-    tails, heads, capacities, constraints = network._arcs
-    name = list(map(_node_name, network.nodes))
-    keys, distinct = _by_identity(capacities)
+    name = [SOURCE, SINK] + [f"{v}_{d}" for v in network.variables
+                             for d in range(network.m + 1)]
+    keys, distinct = _by_identity(network.capacities)
     text = {key: str(c) for key, c in distinct.items()}
     return "".join(
         f"{name[u]} {name[v]} {text[key]} "
         f"{'structural' if k is None else f'constraint:{k}'}\n"
-        for u, v, key, k in zip(tails, heads, keys, constraints))
+        for u, v, key, k in zip(network.tails, network.heads, keys,
+                                network.constraint_indices))

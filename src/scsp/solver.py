@@ -64,14 +64,14 @@ def check_constraint(constraint: SoftConstraint,
             raise NotSubmodular(witness, constraint_index=index)
 
 
-def _terms(f, m: int, repeated: bool) -> tuple:
+def _terms(f, repeated: bool) -> tuple:
     """A table's interval terms, with patterns over its scope (v, w).
     ``repeated`` says that v == w, in which case a binary table is read on
     its diagonal only."""
     if isinstance(f, UnaryTable):
         return decompose_unary(f)
     if repeated:
-        diagonal = UnaryTable([f.value_at(d, d) for d in range(1, m + 1)])
+        diagonal = UnaryTable([f.value_at(d, d) for d in range(1, f.m + 1)])
         return decompose_unary(diagonal)
     return decompose_binary(f).terms
 
@@ -82,7 +82,7 @@ def _key(constraint: SoftConstraint) -> tuple:
     return constraint.function, constraint.scope[0] == constraint.scope[-1]
 
 
-def _expand(constraint: SoftConstraint, m: int, index: int | None,
+def _expand(constraint: SoftConstraint, index: int | None,
             memo: dict, room: int) -> tuple[SoftConstraint, ...]:
     """:func:`expand_constraint`, with each table's terms kept in ``memo``
     under :func:`_key`: a table seen before is neither checked nor
@@ -98,7 +98,7 @@ def _expand(constraint: SoftConstraint, m: int, index: int | None,
         terms = memo.get(key)
         if terms is None:
             try:
-                terms = memo[key] = _terms(f, m, v == w)
+                terms = memo[key] = _terms(f, v == w)
             except NotSubmodular as err:
                 raise NotSubmodular(err.witness,
                                     constraint_index=index) from None
@@ -110,17 +110,18 @@ def _expand(constraint: SoftConstraint, m: int, index: int | None,
     return tuple(_route(t, v, w) for t in terms)
 
 
-def expand_constraint(constraint: SoftConstraint, m: int,
+def expand_constraint(constraint: SoftConstraint,
                       index: int | None = None) -> tuple[SoftConstraint, ...]:
     """Rewrite one constraint as interval-function constraints.
 
     Table constraints are decomposed; interval constraints pass through
     (zero-penalty ones are dropped).  A binary table on a repeated scope
-    only ever sees its diagonal, so it reduces to a unary table with no
-    submodularity requirement.  Raises TooLarge when the rewriting would
-    hold more than ``cutgraph.TERMS_GUARD`` interval constraints.
+    only ever sees its diagonal, over the table's own 1..M, so it reduces
+    to a unary table with no submodularity requirement.  Raises TooLarge
+    when the rewriting would hold more than ``cutgraph.TERMS_GUARD``
+    interval constraints.
     """
-    return _expand(constraint, m, index, {}, cutgraph.TERMS_GUARD)
+    return _expand(constraint, index, {}, cutgraph.TERMS_GUARD)
 
 
 def _expansions(instance: Instance):
@@ -129,11 +130,10 @@ def _expansions(instance: Instance):
     is checked and decomposed once.  Raises TooLarge before routing the
     constraint that would take the rewritings past ``cutgraph.TERMS_GUARD``
     interval constraints in all."""
-    m = instance.domain_size
     memo: dict = {}
     routed = 0
     for index, c in enumerate(instance.constraints):
-        parts = _expand(c, m, index, memo, cutgraph.TERMS_GUARD - routed)
+        parts = _expand(c, index, memo, cutgraph.TERMS_GUARD - routed)
         routed += len(parts)
         yield c, parts
 

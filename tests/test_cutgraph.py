@@ -1,5 +1,6 @@
 """Network construction, exact min cut, and the assignment/cut dictionary."""
 
+import dataclasses
 import itertools
 import pickle
 import random
@@ -133,20 +134,56 @@ class TestBuildNetwork:
         with pytest.raises(AssertionError, match="built a FlowEdge"):
             solve(instances[-1]).network.edges
 
-    def test_numbered_network_matches_its_edge_view(self):
-        # min_cut and format_network read build_network's numbering; a
-        # network built by hand from its FlowEdge view must give the same
+    def test_network_rebuilt_from_its_fields_is_equal(self):
+        # the fields are the whole network: passed back in as lists, they
+        # give an equal network that cuts and prints the same
         rng = random.Random(72)
         for _ in range(200):
-            inst = compile_to_intervals(random_mixed_instance(rng))
-            net = build_network(inst)
-            by_hand = FlowNetwork(inst.variables, inst.domain_size,
-                                  tuple(net.edges))
-            assert by_hand == net
-            assert hash(by_hand) == hash(net)
+            net = build_network(compile_to_intervals(
+                random_mixed_instance(rng)))
+            rebuilt = FlowNetwork(
+                list(net.variables), net.m, list(net.tails), list(net.heads),
+                list(net.capacities), list(net.constraint_indices))
+            assert rebuilt == net
+            assert hash(rebuilt) == hash(net)
             assert pickle.loads(pickle.dumps(net)) == net
-            assert min_cut(by_hand) == min_cut(net)
-            assert format_network(by_hand) == format_network(net)
+            assert min_cut(rebuilt) == min_cut(net)
+            assert format_network(rebuilt) == format_network(net)
+
+    def test_replace_checks_like_the_constructor(self):
+        net = build_network(Instance(("a", "b"), 3, (
+            SoftConstraint(("a", "b"), IntervalFunction(2, 3, 5)),)))
+        assert dataclasses.replace(net) == net
+        stray = len(net.nodes)
+        with pytest.raises(ParameterError, match=f"to {stray}, not between"):
+            dataclasses.replace(net, heads=net.heads[:-1] + (stray,))
+        # at m = 2 the ids of b's levels 2 and 3 name no node
+        with pytest.raises(ParameterError, match="not between node ids"):
+            dataclasses.replace(net, m=2)
+
+    def test_reading_edges_leaves_the_network_as_it_was(self):
+        net = build_network(Instance(("a", "b"), 3, (
+            SoftConstraint(("a", "b"), IntervalFunction(2, 3, 5)),)))
+        size = len(pickle.dumps(net))
+        assert len(net.edges) == 11
+        assert len(pickle.dumps(net)) == size
+
+    def test_hand_built_networks_are_guarded(self, monkeypatch):
+        monkeypatch.setattr("scsp.cutgraph.NETWORK_GUARD", 10)
+        assert len(FlowNetwork(("a", "b"), 4, (), (), (), ()).nodes) == 12
+        with pytest.raises(TooLarge):
+            FlowNetwork(("a", "b"), 5, (), (), (), ())
+
+    @pytest.mark.parametrize("variables, m, message", [
+        (("x", "x"), 2, "unique"),
+        (("x",), 0, "positive integer"),
+        (("x",), -1, "positive integer"),
+        (("x",), 1.5, "positive integer"),
+        (("x",), "2", "positive integer"),
+    ])
+    def test_malformed_variables_or_m_raise(self, variables, m, message):
+        with pytest.raises(ParameterError, match=message):
+            FlowNetwork(variables, m, (), (), (), ())
 
 
 class TestMinCut:
@@ -253,15 +290,18 @@ class TestMinCut:
         assert finite > 250
 
     def test_edges_outside_the_network_raise(self):
-        chain = FlowEdge(("x", 0), ("x", 1), INF, None)
-        cases = [(FlowEdge(SOURCE, stray, as_evaluation(1), 0),
-                  f"edge 1 names {stray!r}")
-                 for stray in (("y", 1), ("x", 5), "x", ["x", 1])]
-        cases.append((FlowEdge(SOURCE, ("x", 1), 1, 0),
-                      "edge 1 has capacity 1,"))
-        for edge, message in cases:
-            with pytest.raises(ParameterError, match=re.escape(message)):
-                FlowNetwork(("x",), 2, (chain, edge))
+        # one variable at m = 2: node ids 0..4; edge 0 is a chain edge
+        one = as_evaluation(1)
+        for stray in (5, -1, "x", 1.0, None):
+            for tail, head in ((2, stray), (stray, 3)):
+                with pytest.raises(ParameterError, match=re.escape(
+                        f"edge 1 runs from {tail!r} to {head!r},")):
+                    FlowNetwork(("x",), 2, (2, tail), (3, head), (INF, one),
+                                (None, 0))
+        with pytest.raises(ParameterError, match="edge 1 has capacity 1,"):
+            FlowNetwork(("x",), 2, (2, 2), (3, 3), (INF, 1), (None, 0))
+        with pytest.raises(ParameterError, match="one length"):
+            FlowNetwork(("x",), 2, (2,), (3, 4), (INF,), (None,))
 
     def test_each_node_is_queued_once(self, monkeypatch):
         # a dense table on every pair of four variables: freed orphans
@@ -313,32 +353,26 @@ def flow_networks(draw):
     nodes: parallel and antiparallel pairs, cycles, self-loops, arcs into
     S and out of T, and about one capacity in ten infinite."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    variables = tuple(f"x{i}" for i in range(n))
-    node = st.sampled_from(FlowNetwork(variables, m, ()).nodes)
+    node = st.integers(0, 1 + n * (m + 1))
     capacity = st.tuples(st.integers(0, 9),
                          st.fractions(0, 12, max_denominator=3))
     edges = draw(st.lists(st.tuples(node, node, capacity), max_size=30))
-    return FlowNetwork(variables, m, tuple(
-        FlowEdge(tail, head, INF if k == 0 else as_evaluation(c), i)
-        for i, (tail, head, (k, c)) in enumerate(edges)))
+    return FlowNetwork(
+        tuple(f"x{i}" for i in range(n)), m, [u for u, _, _ in edges],
+        [v for _, v, _ in edges],
+        [INF if k == 0 else as_evaluation(c) for _, _, (k, c) in edges],
+        range(len(edges)))
 
 
+# one variable at m = 1: S is 0, T is 1, x0_0 is 2 and x0_1 is 3
 @settings(max_examples=300, deadline=None)
-@example(FlowNetwork(("x0",), 1, (
-    FlowEdge(SOURCE, ("x0", 0), as_evaluation(3), 0),
-    FlowEdge(("x0", 0), ("x0", 1), as_evaluation(2), 1),
-    FlowEdge(("x0", 1), ("x0", 0), as_evaluation(Fraction(1, 2)), 2),
-    FlowEdge(("x0", 1), ("x0", 1), INF, 3),
-    FlowEdge(("x0", 1), SINK, as_evaluation(5), 4),
-    FlowEdge(("x0", 1), SINK, as_evaluation(1), 5),
-    FlowEdge(("x0", 0), SOURCE, INF, 6),
-    FlowEdge(SINK, ("x0", 1), as_evaluation(4), 7),
-)))
-@example(FlowNetwork(("x0",), 1, (
-    FlowEdge(SOURCE, ("x0", 1), INF, 0),
-    FlowEdge(("x0", 1), SINK, INF, 1),
-    FlowEdge(SOURCE, SINK, as_evaluation(2), 2),
-)))
+@example(FlowNetwork(
+    ("x0",), 1, (0, 2, 3, 3, 3, 3, 2, 1), (2, 3, 2, 3, 1, 1, 0, 3),
+    (as_evaluation(3), as_evaluation(2), as_evaluation(Fraction(1, 2)), INF,
+     as_evaluation(5), as_evaluation(1), INF, as_evaluation(4)),
+    range(8)))
+@example(FlowNetwork(("x0",), 1, (0, 3, 0), (3, 1, 1),
+                     (INF, INF, as_evaluation(2)), range(3)))
 @given(flow_networks())
 def test_hand_built_networks_match_networkx(net):
     pytest.importorskip("networkx")

@@ -12,8 +12,8 @@ import scsp.solver
 from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
                   abs_diff, arith_relation, as_evaluation, brute_force,
                   build_network, compile_to_intervals, crisp_relation, delay,
-                  evaluate, expand_constraint, parse_instance, solve,
-                  xor_penalty)
+                  evaluate, expand_constraint, linear, parse_instance,
+                  solve, xor_penalty)
 from scsp.errors import CutMismatch, NotSubmodular, TooLarge
 from scsp.solver import Solution, check_constraint
 
@@ -29,15 +29,15 @@ def all_assignments(instance):
 class TestExpandConstraint:
     def test_interval_passes_through(self):
         c = SoftConstraint(("a", "b"), IntervalFunction(2, 3, 5))
-        assert expand_constraint(c, 4) == (c,)
+        assert expand_constraint(c) == (c,)
 
     def test_zero_penalty_interval_is_dropped(self):
         c = SoftConstraint(("a", "b"), IntervalFunction(2, 3, 0))
-        assert expand_constraint(c, 4) == ()
+        assert expand_constraint(c) == ()
 
     def test_unary_table_becomes_diagonal_intervals(self):
         c = SoftConstraint(("a",), unary([6, 3, 0]))
-        expanded = expand_constraint(c, 3)
+        expanded = expand_constraint(c)
         assert all(e.scope == ("a", "a") for e in expanded)
         inst = Instance(("a",), 3, (c,))
         compiled = Instance(("a",), 3, expanded)
@@ -47,16 +47,25 @@ class TestExpandConstraint:
     def test_repeated_scope_table_needs_no_submodularity(self):
         # only the diagonal is ever consulted, so the xor table is fine here
         c = SoftConstraint(("a", "a"), xor_penalty())
-        expanded = expand_constraint(c, 2)
+        expanded = expand_constraint(c)
         inst = Instance(("a",), 2, (c,))
         compiled = Instance(("a",), 2, expanded)
         for assignment in ({"a": 1}, {"a": 2}):
             assert evaluate(compiled, assignment) == evaluate(inst, assignment)
 
+    def test_repeated_scope_diagonal_spans_the_tables_domain(self):
+        # 3x + y on (a, a) charges 4d at a = d, for every d of the table's 1..3
+        c = SoftConstraint(("a", "a"), linear(3, 3, 1, 0))
+        inst = Instance(("a",), 3, (c,))
+        compiled = Instance(("a",), 3, expand_constraint(c))
+        for d in (1, 2, 3):
+            assert evaluate(compiled, {"a": d}) == evaluate(inst, {"a": d})
+            assert evaluate(compiled, {"a": d}) == as_evaluation(4 * d)
+
     def test_non_submodular_table_is_rejected(self):
         c = SoftConstraint(("a", "b"), xor_penalty())
         with pytest.raises(NotSubmodular) as info:
-            expand_constraint(c, 2, index=7)
+            expand_constraint(c, index=7)
         assert info.value.constraint_index == 7
         assert info.value.witness == (1, 1, 2, 2)
 
@@ -131,7 +140,7 @@ class TestCompileRepeatedTables:
     def test_equals_expanding_each_constraint(self):
         _, inst = self.repeated_instance()
         expected = tuple(part for index, c in enumerate(inst.constraints)
-                         for part in expand_constraint(c, 3, index))
+                         for part in expand_constraint(c, index))
         compiled = compile_to_intervals(inst)
         assert compiled == Instance(inst.variables, 3, expected)
 
@@ -319,10 +328,10 @@ class TestTermsGuard:
 
     def test_one_constraint_past_the_guard(self, monkeypatch):
         c = SoftConstraint(("a", "b"), abs_diff(4))
-        terms = len(expand_constraint(c, 4))
+        terms = len(expand_constraint(c))
         monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", terms - 1)
         with pytest.raises(TooLarge):
-            expand_constraint(c, 4)
+            expand_constraint(c)
 
 
 class TestBruteForce:
