@@ -31,9 +31,9 @@ from itertools import compress, count, repeat
 from math import lcm
 
 from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
-from .evaluation import INF, ZERO, Evaluation
+from .evaluation import INF, ZERO, Evaluation, frozen_slots
 from .functions import IntervalFunction
-from .model import Instance, check_assignment
+from .model import Instance, check_assignment, name_set
 
 SOURCE = "S"
 SINK = "T"
@@ -42,7 +42,8 @@ NETWORK_GUARD = 10 ** 6  # most level nodes build_network will allocate
 TERMS_GUARD = 10 ** 6  # most interval constraints compile will route
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class FlowEdge:
     """A directed capacity; constraint_index is None for structural edges."""
 
@@ -60,7 +61,8 @@ def _level_nodes(variables, m: int) -> int:
     return len(variables) * (m + 1)
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class FlowNetwork:
     """A flow network over S, T and the level nodes of ``variables``.
 
@@ -85,8 +87,7 @@ class FlowNetwork:
         if not isinstance(m, int) or m < 1:
             raise ParameterError(f"m must be a positive integer, got {m!r}")
         n = 2 + _level_nodes(variables, m)
-        if len(set(variables)) != len(variables):
-            raise ParameterError("variable names must be unique")
+        name_set(variables)
         tails, heads, capacities, constraints = map(tuple, (
             self.tails, self.heads, self.capacities, self.constraint_indices))
         if not len(tails) == len(heads) == len(capacities) == len(constraints):
@@ -127,7 +128,8 @@ class FlowNetwork:
                          self.constraint_indices))
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """A source side containing SOURCE but not SINK, the edges leaving it
     (as indices into the network's edge tuple), and their total weight."""
@@ -147,16 +149,17 @@ def build_network(instance: Instance) -> FlowNetwork:
     """
     m = instance.domain_size
     variables = instance.variables
-    _level_nodes(variables, m)
+    # every id is taken from this list, so the arcs share its int objects
+    node = list(range(2 + _level_nodes(variables, m)))
     # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
     tails, heads = [], []
     level0 = {}  # variable -> the id of its level 0
     for i, v in enumerate(variables):
         base = level0[v] = 2 + i * (m + 1)
-        tails += (0, base)
-        tails.extend(range(base, base + m))
-        heads += (base + m, 1)
-        heads.extend(range(base + 1, base + m + 1))
+        tails += node[0], node[base]
+        tails += node[base:base + m]
+        heads += node[base + m], node[1]
+        heads += node[base + 1:base + m + 1]
     capacities = [INF] * len(tails)
     constraints = [None] * len(tails)
     for index, c in enumerate(instance.constraints):
@@ -168,17 +171,11 @@ def build_network(instance: Instance) -> FlowNetwork:
         if f.penalty.is_zero:
             continue
         v, w = c.scope
-        tails.append(level0[w] + f.y_max)
-        heads.append(level0[v] + f.x_min - 1)
+        tails.append(node[level0[w] + f.y_max])
+        heads.append(node[level0[v] + f.x_min - 1])
         capacities.append(f.penalty)
         constraints.append(index)
     return FlowNetwork(variables, m, tails, heads, capacities, constraints)
-
-
-def _by_identity(values) -> tuple[list, dict]:
-    """The id of each value, and each distinct value object by its id."""
-    keys = list(map(id, values))
-    return keys, dict(zip(keys, values))
 
 
 def min_cut(network: FlowNetwork) -> CutResult:
@@ -190,16 +187,17 @@ def min_cut(network: FlowNetwork) -> CutResult:
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
     """
-    tails, heads = network.tails, network.heads
+    tails, heads, capacities = (network.tails, network.heads,
+                                network.capacities)
     nodes = network.nodes
     # each distinct capacity object is scaled once; None stands for INF
-    keys, distinct = _by_identity(network.capacities)
+    distinct = {id(c): c for c in capacities}
     finite = [c.fraction for c in distinct.values() if not c.is_infinite]
     scale = lcm(*(f.denominator for f in finite))
     scaled = {key: None if c.is_infinite
               else c.fraction.numerator * (scale // c.fraction.denominator)
               for key, c in distinct.items()}
-    caps = list(map(scaled.__getitem__, keys))
+    caps = list(map(scaled.__getitem__, map(id, capacities)))
     big = sum(filter(None, caps)) + 1
 
     # arc 2i runs along edge i and arc 2i + 1 against it: a residual pair
@@ -397,10 +395,12 @@ def format_network(network: FlowNetwork) -> str:
     """One line per edge: ``from to capacity tag``."""
     name = [SOURCE, SINK] + [f"{v}_{d}" for v in network.variables
                              for d in range(network.m + 1)]
-    keys, distinct = _by_identity(network.capacities)
+    capacities = network.capacities
+    distinct = {id(c): c for c in capacities}
     text = {key: str(c) for key, c in distinct.items()}
     return "".join(
-        f"{name[u]} {name[v]} {text[key]} "
+        f"{name[u]} {name[v]} {cap} "
         f"{'structural' if k is None else f'constraint:{k}'}\n"
-        for u, v, key, k in zip(network.tails, network.heads, keys,
+        for u, v, cap, k in zip(network.tails, network.heads,
+                                map(text.__getitem__, map(id, capacities)),
                                 network.constraint_indices))

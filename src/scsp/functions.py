@@ -30,7 +30,8 @@ from .errors import (ApproximationBrokeSubmodularity, DomainError,
 from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class IntervalFunction:
     """Charges ``penalty`` unless x < x_min or y > y_max."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import DomainError, ParameterError, ScopeError
-from .evaluation import ZERO, Evaluation
+from .evaluation import ZERO, Evaluation, frozen_slots
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 
 ConstraintFunction = Union[UnaryTable, BinaryTable, IntervalFunction]
@@ -19,7 +19,20 @@ ConstraintFunction = Union[UnaryTable, BinaryTable, IntervalFunction]
 Assignment = Mapping[str, int]
 
 
-@dataclass(frozen=True)
+def name_set(variables: tuple) -> set:
+    """The variable names as a set; ParameterError unless they are
+    hashable and distinct."""
+    try:
+        names = set(variables)
+    except TypeError:
+        raise ParameterError("variable names must be hashable") from None
+    if len(names) != len(variables):
+        raise ParameterError("variable names must be unique")
+    return names
+
+
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class SoftConstraint:
     """A scope of one or two variables plus a penalty function over it.
 
@@ -43,7 +56,8 @@ class SoftConstraint:
                 f"function needs {arity}")
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class Instance:
     """An ordered set of variables, a domain size, and soft constraints."""
 
@@ -57,12 +71,13 @@ class Instance:
         m = self.domain_size
         if not isinstance(m, int) or m < 1:
             raise ParameterError(f"domain size must be a positive integer, got {m}")
-        if len(set(self.variables)) != len(self.variables):
-            raise ParameterError("variable names must be unique")
+        declared = name_set(self.variables)
         if any(not v for v in self.variables):
             raise ParameterError("variable names must be non-empty")
-        declared = set(self.variables)
-        for c in self.constraints:
+        for index, c in enumerate(self.constraints):
+            if not isinstance(c, SoftConstraint):
+                raise ParameterError(f"constraint {index} is a "
+                                     f"{type(c).__name__}, not a SoftConstraint")
             for v in c.scope:
                 if v not in declared:
                     raise ScopeError(f"constraint mentions undeclared variable {v!r}")

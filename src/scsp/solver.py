@@ -20,7 +20,7 @@ from . import cutgraph
 from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
                      NotSubmodular, ParameterError, TooLarge)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation
+from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint, evaluate
 from .submodular import (decompose_binary, decompose_unary, find_violation,
@@ -29,7 +29,8 @@ from .submodular import (decompose_binary, decompose_unary, find_violation,
 BRUTE_FORCE_GUARD = 10 ** 7
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class Solution:
     """An optimal assignment and its evaluation.  ``network`` is the flow
     network :func:`solve` cut; :func:`brute_force` leaves it None."""
@@ -40,13 +41,9 @@ class Solution:
                                         repr=False)
 
 
-def _route(term, v, w) -> SoftConstraint:
-    """The term on scope (v, w): "xy" on (v, w), "xx" on (v, v), and the
-    "y" patterns the same with v and w swapped."""
-    if term.pattern[0] == "y":
-        v, w = w, v
-    scope = (v, v) if term.pattern in ("xx", "yy") else (v, w)
-    return SoftConstraint(scope, term.interval)
+def _route(term, scopes: dict) -> SoftConstraint:
+    """The term on its pattern's scope, as ``scopes`` maps it."""
+    return SoftConstraint(scopes[term.pattern], term.interval)
 
 
 def check_constraint(constraint: SoftConstraint,
@@ -107,7 +104,10 @@ def _expand(constraint: SoftConstraint, index: int | None,
                        f"past {cutgraph.TERMS_GUARD} interval constraints")
     if isinstance(f, IntervalFunction):
         return terms
-    return tuple(_route(t, v, w) for t in terms)
+    # "xy" on (v, w), "xx" on (v, v), and the "y" patterns the same with v
+    # and w swapped: the terms share these four scope tuples
+    scopes = {"xy": (v, w), "xx": (v, v), "yx": (w, v), "yy": (w, w)}
+    return tuple(_route(t, scopes) for t in terms)
 
 
 def expand_constraint(constraint: SoftConstraint,
@@ -182,7 +182,8 @@ def brute_force(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Solution:
     return Solution(best_assignment, best_value)
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class GadgetResult:
     """The pieces of the exclusive-or simulation built on a violation.
 

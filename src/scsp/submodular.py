@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .errors import (DecompositionError, DomainError, NotSubmodular,
                      ParameterError, PreconditionViolated, TooLarge)
-from .evaluation import ZERO, Evaluation, as_evaluation
+from .evaluation import ZERO, Evaluation, as_evaluation, frozen_slots
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 
 PATTERNS = ("xy", "yx", "xx", "yy")
@@ -196,7 +196,8 @@ def tightness(table: UnaryTable | BinaryTable) -> int:
     return sum(1 for row in table.rows for v in row if v != ZERO)
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class IntervalTerm:
     """One summand of a decomposition: an interval function plus the
     argument pattern it is applied to."""
@@ -209,7 +210,8 @@ class IntervalTerm:
             raise ParameterError(f"pattern must be one of {PATTERNS}")
 
 
-@dataclass(frozen=True)
+@frozen_slots
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     terms: tuple[IntervalTerm, ...]
     m: int

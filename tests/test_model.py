@@ -49,6 +49,17 @@ class TestConstruction:
             Instance(("x", "y"), 3,
                      (SoftConstraint(("x", "y"), IntervalFunction(1, 4, 1)),))
 
+    def test_unhashable_variable_names_raise(self):
+        with pytest.raises(ParameterError, match="hashable"):
+            Instance([["a"]], 2, ())
+
+    def test_constraints_must_be_soft_constraints(self):
+        with pytest.raises(ParameterError, match="constraint 0 is a NoneType"):
+            Instance(("a",), 2, [None])
+        with pytest.raises(ParameterError, match="constraint 1 is a tuple"):
+            Instance(("a",), 2, [SoftConstraint(("a",), unary([0, 1])),
+                                 (("a",), unary([0, 1]))])
+
     def test_copy_and_pickle(self):
         inst = Instance(("a", "b"), 2, (
             SoftConstraint(("a",), unary([0, None])),

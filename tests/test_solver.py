@@ -62,6 +62,12 @@ class TestExpandConstraint:
             assert evaluate(compiled, {"a": d}) == evaluate(inst, {"a": d})
             assert evaluate(compiled, {"a": d}) == as_evaluation(4 * d)
 
+    def test_terms_share_their_constraints_scopes(self):
+        # one scope tuple per pattern, however many terms the table has
+        expanded = expand_constraint(SoftConstraint(("a", "b"), abs_diff(8)))
+        assert len(expanded) > 4
+        assert len({id(part.scope) for part in expanded}) <= 4
+
     def test_non_submodular_table_is_rejected(self):
         c = SoftConstraint(("a", "b"), xor_penalty())
         with pytest.raises(NotSubmodular) as info:
