@@ -16,8 +16,8 @@ from .errors import NotSubmodular, ParseError, TooLarge
 from .fileformat import format_constraint, parse_instance
 from .functions import IntervalFunction
 from .model import Instance
-from .solver import (_expansions, _key, brute_force, check_constraint,
-                     compile_to_intervals, solve)
+from .solver import (brute_force, check_submodular, compile_to_intervals,
+                     expansions, solve)
 
 
 def _print_solution(instance, solution):
@@ -40,18 +40,13 @@ def _cmd_solve(instance: Instance, args) -> int:
 
 
 def _cmd_check(instance: Instance, args) -> int:
-    # each constraint's key is hashed once, and each key is checked at its
-    # first holder: the constraint a failure must name
-    first_holder: dict = {}
-    for index, c in enumerate(instance.constraints):
-        if first_holder.setdefault(_key(c), index) == index:
-            check_constraint(c, index)
+    check_submodular(instance)
     print("submodular")
     return 0
 
 
 def _cmd_decompose(instance: Instance, args) -> int:
-    for c, parts in _expansions(instance):
+    for c, parts in expansions(instance):
         if not isinstance(c.function, IntervalFunction):
             for part in parts:
                 print(format_constraint(part))

@@ -32,7 +32,7 @@ from math import lcm
 
 from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation, frozen_slots
-from .functions import IntervalFunction
+from .functions import IntervalFunction, check_integer
 from .model import Instance, check_assignment, name_set
 
 SOURCE = "S"
@@ -70,7 +70,7 @@ class FlowNetwork:
     positions in ``nodes``; ``constraint_indices[i]`` is None for a
     structural edge.  Every network is checked when it is constructed:
     TooLarge past NETWORK_GUARD level nodes, before any id is allocated;
-    ParameterError for an m that is not a positive int, repeated
+    ParameterError for an m that is not a positive integer, repeated
     variables, edge tuples of unequal lengths, a capacity that is not an
     Evaluation or an id that is not a node's.
     """
@@ -84,8 +84,7 @@ class FlowNetwork:
 
     def __post_init__(self):
         variables, m = tuple(self.variables), self.m
-        if not isinstance(m, int) or m < 1:
-            raise ParameterError(f"m must be a positive integer, got {m!r}")
+        check_integer("m", m)
         n = 2 + _level_nodes(variables, m)
         name_set(variables)
         tails, heads, capacities, constraints = map(tuple, (

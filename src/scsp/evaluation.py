@@ -15,7 +15,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
-from .errors import PreconditionViolated
+from .errors import ParameterError, PreconditionViolated
 
 
 def frozen_slots(cls):
@@ -149,3 +149,18 @@ def as_evaluation(value) -> Evaluation:
     if isinstance(value, str) and value.strip() == "inf":
         return INF
     return Evaluation(value)
+
+
+def exact_coefficient(name: str, value, allow_zero: bool = False) -> Evaluation:
+    """``value`` through :func:`as_evaluation`, as a builder's coefficient:
+    ParameterError for a float, a malformed or negative value, infinity,
+    or zero unless ``allow_zero``."""
+    try:
+        e = as_evaluation(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        e = None
+    if e is None or e.is_infinite or (e.is_zero and not allow_zero):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ParameterError(f"{name} must be an exact finite {kind} "
+                             f"rational, got {value!r}")
+    return e

@@ -27,7 +27,8 @@ from math import isqrt
 
 from .errors import (ApproximationBrokeSubmodularity, DomainError,
                      ParameterError)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
+from .evaluation import (INF, ZERO, Evaluation, as_evaluation,
+                         exact_coefficient, frozen_slots)
 
 
 @frozen_slots
@@ -40,9 +41,12 @@ class IntervalFunction:
     penalty: Evaluation
 
     def __post_init__(self):
-        if not (isinstance(self.x_min, int) and isinstance(self.y_max, int)):
+        # not check_integer, as one is built per term; False fails below
+        x, y = self.x_min, self.y_max
+        if not (isinstance(x, int) and isinstance(y, int)) or (
+                x is True or y is True):
             raise ParameterError("interval bounds must be integers")
-        if self.x_min < 1 or self.y_max < 1:
+        if x < 1 or y < 1:
             raise ParameterError("interval bounds must be at least 1")
         object.__setattr__(self, "penalty", as_evaluation(self.penalty))
 
@@ -148,34 +152,26 @@ class BinaryTable:
         return f"BinaryTable({body})"
 
 
-def _check_m(m):
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"domain size must be a positive integer, got {m}")
-
-
-def _check_power(r):
-    if not isinstance(r, int) or r < 1:
-        raise ParameterError(f"exponent must be an integer >= 1, got {r}")
-
-
-def _positive_fraction(name, value, allow_zero=False):
-    f = Fraction(value)
-    if f < 0 or (f == 0 and not allow_zero):
-        raise ParameterError(f"{name} must be {'non-negative' if allow_zero else 'positive'}")
-    return f
+def check_integer(name: str, value, allow_zero: bool = False) -> None:
+    """ParameterError unless ``value`` is an int, not a bool, of at least 1
+    (at least 0 with ``allow_zero``): the package's integer check."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or value < (0 if allow_zero else 1)):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def abs_diff(m: int, r: int = 1) -> BinaryTable:
     """|x - y| ** r; prefers the two values as close as possible."""
-    _check_m(m)
-    _check_power(r)
+    check_integer("domain size", m)
+    check_integer("exponent", r)
     return BinaryTable.from_function(m, lambda x, y: abs(x - y) ** r)
 
 
 def excess(m: int, r: int = 1) -> BinaryTable:
     """max(x - y, 0) ** r; charges only for x exceeding y."""
-    _check_m(m)
-    _check_power(r)
+    check_integer("domain size", m)
+    check_integer("exponent", r)
     return BinaryTable.from_function(m, lambda x, y: max(x - y, 0) ** r)
 
 
@@ -184,18 +180,18 @@ def delay(m: int, r: int = 1) -> BinaryTable:
 
     Models "x happens at or after y, as soon as possible".
     """
-    _check_m(m)
-    _check_power(r)
+    check_integer("domain size", m)
+    check_integer("exponent", r)
     return BinaryTable.from_function(
         m, lambda x, y: (x - y) ** r if x >= y else INF)
 
 
 def linear(m: int, a, b, c) -> BinaryTable:
     """a*x + b*y + c with non-negative rational coefficients."""
-    _check_m(m)
-    fa = _positive_fraction("a", a, allow_zero=True)
-    fb = _positive_fraction("b", b, allow_zero=True)
-    fc = _positive_fraction("c", c, allow_zero=True)
+    check_integer("domain size", m)
+    fa = exact_coefficient("a", a, allow_zero=True).fraction
+    fb = exact_coefficient("b", b, allow_zero=True).fraction
+    fc = exact_coefficient("c", c, allow_zero=True).fraction
     return BinaryTable.from_function(m, lambda x, y: fa * x + fb * y + fc)
 
 
@@ -205,7 +201,7 @@ def product_complement(m: int) -> BinaryTable:
     Submodular, yet its decomposition needs on the order of m**2 interval
     terms, which makes it the stock example of a dense table.
     """
-    _check_m(m)
+    check_integer("domain size", m)
     return BinaryTable.from_function(m, lambda x, y: m * m - x * y)
 
 
@@ -217,9 +213,8 @@ def euclidean_rounded(m: int, denom: int = 1) -> BinaryTable:
     rounded table is re-checked for submodularity; if rounding destroyed
     it, ApproximationBrokeSubmodularity is raised.
     """
-    _check_m(m)
-    if not isinstance(denom, int) or denom < 1:
-        raise ParameterError(f"denominator must be a positive integer, got {denom}")
+    check_integer("domain size", m)
+    check_integer("denominator", denom)
 
     def cell(x, y):
         # nearest n to denom*sqrt(x^2+y^2): compare 4*t with (2*floor+1)^2
@@ -239,7 +234,7 @@ def euclidean_rounded(m: int, denom: int = 1) -> BinaryTable:
 
 def crisp_relation(m: int, arity: int, allowed) -> UnaryTable | BinaryTable:
     """Zero on the allowed tuples, infinite elsewhere."""
-    _check_m(m)
+    check_integer("domain size", m)
     if arity not in (1, 2):
         raise ParameterError(f"arity must be 1 or 2, got {arity}")
     tuples = set()
@@ -267,12 +262,12 @@ def arith_relation(m: int, kind: str, a, b=0, c=0) -> UnaryTable | BinaryTable:
     a*x == b*y + c, a*x <= b*y + c, and a*x >= b*y + c respectively.
     Requires a > 0 and b, c >= 0.
     """
-    _check_m(m)
+    check_integer("domain size", m)
     if kind not in ARITH_KINDS:
         raise ParameterError(f"kind must be one of {ARITH_KINDS}, got {kind!r}")
-    fa = _positive_fraction("a", a)
-    fb = _positive_fraction("b", b, allow_zero=True)
-    fc = _positive_fraction("c", c, allow_zero=True)
+    fa = exact_coefficient("a", a).fraction
+    fb = exact_coefficient("b", b, allow_zero=True).fraction
+    fc = exact_coefficient("c", c, allow_zero=True).fraction
     if kind == "neq_const":
         return UnaryTable.from_function(
             m, lambda x: ZERO if fa * x != fb else INF)
@@ -294,14 +289,13 @@ def xor_penalty() -> BinaryTable:
 
 def equality_penalty(m: int) -> BinaryTable:
     """One unit unless x == y.  Not submodular for m >= 3."""
-    _check_m(m)
+    check_integer("domain size", m)
     return BinaryTable.from_function(m, lambda x, y: 0 if x == y else 1)
 
 
 def centered_square(m: int, i: int) -> UnaryTable:
     """(x - i/2) ** 2; draws the variable toward i/2."""
-    _check_m(m)
-    if not isinstance(i, int) or i < 0:
-        raise ParameterError(f"center parameter must be a non-negative integer, got {i}")
+    check_integer("domain size", m)
+    check_integer("center parameter", i, allow_zero=True)
     half = Fraction(i, 2)
     return UnaryTable.from_function(m, lambda x: (x - half) ** 2)

@@ -12,7 +12,8 @@ from typing import Mapping, Union
 
 from .errors import DomainError, ParameterError, ScopeError
 from .evaluation import ZERO, Evaluation, frozen_slots
-from .functions import BinaryTable, IntervalFunction, UnaryTable
+from .functions import (BinaryTable, IntervalFunction, UnaryTable,
+                        check_integer)
 
 ConstraintFunction = Union[UnaryTable, BinaryTable, IntervalFunction]
 
@@ -44,6 +45,8 @@ class SoftConstraint:
     function: ConstraintFunction
 
     def __post_init__(self):
+        if isinstance(self.scope, str):
+            raise ParameterError(f"scope must not be a str, got {self.scope!r}")
         object.__setattr__(self, "scope", tuple(self.scope))
         arity = 1 if isinstance(self.function, UnaryTable) else 2
         if not isinstance(self.function,
@@ -69,8 +72,7 @@ class Instance:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         m = self.domain_size
-        if not isinstance(m, int) or m < 1:
-            raise ParameterError(f"domain size must be a positive integer, got {m}")
+        check_integer("domain size", m)
         declared = name_set(self.variables)
         if any(not v for v in self.variables):
             raise ParameterError("variable names must be non-empty")

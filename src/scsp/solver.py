@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from . import cutgraph
 from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
-                     NotSubmodular, ParameterError, TooLarge)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
+                     NotSubmodular, TooLarge)
+from .evaluation import INF, ZERO, Evaluation, exact_coefficient, frozen_slots
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint, evaluate
 from .submodular import (decompose_binary, decompose_unary, find_violation,
@@ -33,32 +33,32 @@ BRUTE_FORCE_GUARD = 10 ** 7
 @dataclass(frozen=True, slots=True)
 class Solution:
     """An optimal assignment and its evaluation.  ``network`` is the flow
-    network :func:`solve` cut; :func:`brute_force` leaves it None."""
+    network :func:`solve` cut; :func:`brute_force` leaves it None.  The
+    assignment is a dict, so a Solution has no hash."""
 
     assignment: dict
     evaluation: Evaluation
     network: FlowNetwork | None = field(default=None, compare=False,
                                         repr=False)
 
-
-def _route(term, scopes: dict) -> SoftConstraint:
-    """The term on its pattern's scope, as ``scopes`` maps it."""
-    return SoftConstraint(scopes[term.pattern], term.interval)
+    __hash__ = None
 
 
-def check_constraint(constraint: SoftConstraint,
-                     index: int | None = None) -> None:
-    """Raise NotSubmodular, tagged with ``index``, if the constraint is a
-    binary table over two distinct variables that is not submodular.
-
-    That is the one requirement :func:`solve` places on its input; a table
-    on a repeated scope only ever sees its diagonal.
+def check_submodular(instance: Instance) -> None:
+    """Raise NotSubmodular, tagged with the index of its first holder, if
+    a binary table over two distinct variables is not submodular: the one
+    requirement :func:`solve` places on its input.  A table on a repeated
+    scope only ever sees its diagonal; each distinct table is checked once.
     """
-    f = constraint.function
-    if isinstance(f, BinaryTable) and constraint.scope[0] != constraint.scope[1]:
-        witness = find_violation(f)
-        if witness is not None:
-            raise NotSubmodular(witness, constraint_index=index)
+    checked = set()
+    for index, c in enumerate(instance.constraints):
+        f = c.function
+        if (isinstance(f, BinaryTable) and c.scope[0] != c.scope[1]
+                and f not in checked):
+            checked.add(f)
+            witness = find_violation(f)
+            if witness is not None:
+                raise NotSubmodular(witness, constraint_index=index)
 
 
 def _terms(f, repeated: bool) -> tuple:
@@ -73,25 +73,19 @@ def _terms(f, repeated: bool) -> tuple:
     return decompose_binary(f).terms
 
 
-def _key(constraint: SoftConstraint) -> tuple:
-    """What a table constraint's terms and check depend on: the table, and
-    whether the scope repeats a variable."""
-    return constraint.function, constraint.scope[0] == constraint.scope[-1]
-
-
 def _expand(constraint: SoftConstraint, index: int | None,
             memo: dict, room: int) -> tuple[SoftConstraint, ...]:
     """:func:`expand_constraint`, with each table's terms kept in ``memo``
-    under :func:`_key`: a table seen before is neither checked nor
-    decomposed again, only routed onto this constraint's scope.  Raises
-    TooLarge, before routing, when the constraint would yield more than
-    ``room`` interval constraints."""
+    under the table and whether the scope repeats a variable: a table seen
+    before is neither checked nor decomposed again, only routed onto this
+    constraint's scope.  Raises TooLarge, before routing, when the
+    constraint would yield more than ``room`` interval constraints."""
     f = constraint.function
     v, w = constraint.scope[0], constraint.scope[-1]
     if isinstance(f, IntervalFunction):
         terms = () if f.penalty.is_zero else (constraint,)
     else:
-        key = _key(constraint)
+        key = f, v == w
         terms = memo.get(key)
         if terms is None:
             try:
@@ -107,7 +101,7 @@ def _expand(constraint: SoftConstraint, index: int | None,
     # "xy" on (v, w), "xx" on (v, v), and the "y" patterns the same with v
     # and w swapped: the terms share these four scope tuples
     scopes = {"xy": (v, w), "xx": (v, v), "yx": (w, v), "yy": (w, w)}
-    return tuple(_route(t, scopes) for t in terms)
+    return tuple(SoftConstraint(scopes[t.pattern], t.interval) for t in terms)
 
 
 def expand_constraint(constraint: SoftConstraint,
@@ -124,7 +118,7 @@ def expand_constraint(constraint: SoftConstraint,
     return _expand(constraint, index, {}, cutgraph.TERMS_GUARD)
 
 
-def _expansions(instance: Instance):
+def expansions(instance: Instance):
     """Each constraint, in order, with its :func:`expand_constraint`
     rewriting; one memo serves the whole instance, so each distinct table
     is checked and decomposed once.  Raises TooLarge before routing the
@@ -148,7 +142,7 @@ def compile_to_intervals(instance: Instance) -> Instance:
     interval constraints.  Each distinct table is checked and decomposed
     once per call.
     """
-    constraints = tuple(part for _, parts in _expansions(instance)
+    constraints = tuple(part for _, parts in expansions(instance)
                         for part in parts)
     return Instance(instance.variables, instance.domain_size, constraints)
 
@@ -166,11 +160,12 @@ def solve(instance: Instance) -> Solution:
     return Solution(assignment, value, network)
 
 
-def brute_force(instance: Instance, guard: int = BRUTE_FORCE_GUARD) -> Solution:
-    """Exhaustive minimum, keeping the lexicographically first optimum."""
+def brute_force(instance: Instance) -> Solution:
+    """Exhaustive minimum, keeping the lexicographically first optimum.
+    Raises TooLarge past ``BRUTE_FORCE_GUARD`` assignments."""
     names = instance.variables
     m = instance.domain_size
-    if m ** len(names) > guard:
+    if m ** len(names) > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{m}**{len(names)} assignments exceed the guard")
     best_assignment = None
     best_value = None
@@ -216,9 +211,7 @@ def xor_gadget(psi: BinaryTable, epsilon=1) -> GadgetResult:
     GadgetMismatch if the projected penalty fails to reproduce chi (which
     would mean the construction itself is broken).
     """
-    eps = as_evaluation(epsilon)
-    if eps == ZERO or eps.is_infinite:
-        raise ParameterError("epsilon must be finite and positive")
+    eps = exact_coefficient("epsilon", epsilon)
     m = psi.m
     if m ** 6 > BRUTE_FORCE_GUARD:
         raise TooLarge(f"projecting out four variables over 1..{m} "

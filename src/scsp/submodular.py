@@ -50,7 +50,8 @@ from typing import NamedTuple
 from .errors import (DecompositionError, DomainError, NotSubmodular,
                      ParameterError, PreconditionViolated, TooLarge)
 from .evaluation import ZERO, Evaluation, as_evaluation, frozen_slots
-from .functions import BinaryTable, IntervalFunction, UnaryTable
+from .functions import (BinaryTable, IntervalFunction, UnaryTable,
+                        check_integer)
 
 PATTERNS = ("xy", "yx", "xx", "yy")
 
@@ -167,8 +168,7 @@ def find_kary_violation(values, m: int, k: int):
     """
     if k not in (1, 2, 3):
         raise ParameterError(f"k must be 1, 2, or 3, got {k}")
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"domain size must be a positive integer, got {m}")
+    check_integer("domain size", m)
     if m ** k > 10 ** 6:
         raise TooLarge(f"{m}**{k} tuples exceed the enumeration guard")
     tuples = list(itertools.product(range(1, m + 1), repeat=k))

@@ -181,6 +181,7 @@ class TestBuildNetwork:
         (("x",), 1.5, "positive integer"),
         (("x",), "2", "positive integer"),
         ([["x"]], 2, "hashable"),
+        (("x",), True, "positive integer"),
     ])
     def test_malformed_variables_or_m_raise(self, variables, m, message):
         with pytest.raises(ParameterError, match=message):

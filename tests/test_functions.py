@@ -44,6 +44,8 @@ class TestIntervalFunction:
             IntervalFunction(0, 1, 1)
         with pytest.raises(ParameterError):
             IntervalFunction("1", 1, 1)
+        with pytest.raises(ParameterError):
+            IntervalFunction(True, 1, 1)
 
 
 class TestTables:
@@ -141,8 +143,9 @@ class TestBuilders:
     def test_linear(self):
         assert linear(2, 1, 2, "1/2") == table(
             [["7/2", "11/2"], ["9/2", "13/2"]])
-        with pytest.raises(ParameterError):
-            linear(2, -1, 0, 0)
+        for a in (-1, 0.1, "1/0", None, "inf"):
+            with pytest.raises(ParameterError):
+                linear(2, a, 0, 0)
 
     def test_product_complement(self):
         assert product_complement(3) == table(
@@ -209,6 +212,8 @@ class TestBuilders:
             arith_relation(3, "lt", 1, 1)
         with pytest.raises(ParameterError):
             arith_relation(3, "eq", 0, 1)
+        with pytest.raises(ParameterError):
+            arith_relation(3, "leq", 0.5)
 
     def test_named_small_tables(self):
         assert xor_penalty() == table([[1, 0], [0, 1]])
@@ -225,6 +230,8 @@ class TestBuilders:
                 builder(0)
         with pytest.raises(ParameterError):
             abs_diff(3, 0)
+        with pytest.raises(ParameterError):
+            abs_diff(True)
         with pytest.raises(ParameterError):
             euclidean_rounded(3, 0)
         with pytest.raises(ParameterError):

@@ -61,6 +61,8 @@ class TestGuards:
             xor_gadget(xor_penalty(), epsilon=0)
         with pytest.raises(ParameterError):
             xor_gadget(xor_penalty(), epsilon="inf")
+        with pytest.raises(ParameterError):
+            xor_gadget(xor_penalty(), epsilon=0.5)
 
     def test_projection_guard(self):
         rows = [[0] * 15 for _ in range(15)]

@@ -29,6 +29,11 @@ class TestConstruction:
             SoftConstraint(("x",), IntervalFunction(1, 1, 1))
         with pytest.raises(ParameterError):
             SoftConstraint(("x",), "not a function")
+        # a str is a sequence of one-letter names, never meant as a scope
+        with pytest.raises(ParameterError):
+            SoftConstraint("ab", IntervalFunction(1, 1, 1))
+        with pytest.raises(ParameterError):
+            SoftConstraint("x1", unary([0, 1]))
 
     def test_repeated_scope_is_allowed(self):
         c = SoftConstraint(("x", "x"), abs_diff(3))
@@ -39,6 +44,8 @@ class TestConstruction:
             Instance(("x", "x"), 3, ())
         with pytest.raises(ParameterError):
             Instance(("x",), 0, ())
+        with pytest.raises(ParameterError):
+            Instance(("a",), True, ())
         with pytest.raises(ParameterError):
             Instance(("x", ""), 3, ())
         with pytest.raises(ScopeError):

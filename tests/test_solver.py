@@ -1,6 +1,7 @@
 """Compilation to interval constraints and end-to-end solving."""
 
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
                   evaluate, expand_constraint, linear, parse_instance,
                   solve, xor_penalty)
 from scsp.errors import CutMismatch, NotSubmodular, TooLarge
-from scsp.solver import Solution, check_constraint
+from scsp.solver import Solution, check_submodular
 
 
 def all_assignments(instance):
@@ -76,17 +77,24 @@ class TestExpandConstraint:
         assert info.value.witness == (1, 1, 2, 2)
 
 
-class TestCheckConstraint:
+PASSING = (
+    SoftConstraint(("a", "a"), xor_penalty()),
+    SoftConstraint(("a",), unary([1, 0])),
+    SoftConstraint(("a", "b"), IntervalFunction(1, 2, 3)),
+)
+
+
+class TestCheckSubmodular:
     def test_distinct_scope_table_must_be_submodular(self):
         c = SoftConstraint(("a", "b"), xor_penalty())
+        inst = Instance(("a", "b"), 2, PASSING + (c, c))
         with pytest.raises(NotSubmodular) as info:
-            check_constraint(c, 3)
+            check_submodular(inst)
         assert info.value.constraint_index == 3
+        assert info.value.witness == (1, 1, 2, 2)
 
     def test_other_constraints_pass(self):
-        check_constraint(SoftConstraint(("a", "a"), xor_penalty()))
-        check_constraint(SoftConstraint(("a",), unary([1, 0])))
-        check_constraint(SoftConstraint(("a", "b"), IntervalFunction(1, 2, 3)))
+        check_submodular(Instance(("a", "b"), 2, PASSING))
 
 
 class TestCompile:
@@ -220,6 +228,9 @@ class TestSolve:
         assert sol == Solution(sol.assignment, sol.evaluation)
         assert "network" not in repr(sol)
         assert brute_force(inst).network is None
+        assert not isinstance(sol, Hashable)
+        with pytest.raises(TypeError):
+            hash(sol)
 
     def test_cut_must_match_evaluation(self, chain_text, monkeypatch):
         monkeypatch.setattr(scsp.solver, "evaluate",
@@ -311,10 +322,9 @@ class TestTermsGuard:
         instances = [random_mixed_instance(rng) for _ in range(100)]
         sizes = [len(compile_to_intervals(inst).constraints)
                  for inst in instances]
-        route = scsp.solver._route
         routed = []
-        monkeypatch.setattr(scsp.solver, "_route",
-                            lambda *args: routed.append(args) or route(*args))
+        monkeypatch.setattr(scsp.solver, "SoftConstraint", lambda *args: (
+            routed.append(args) or SoftConstraint(*args)))
         refused = 0
         for inst, n in zip(instances, sizes):
             monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", n)
@@ -349,8 +359,10 @@ class TestBruteForce:
             SoftConstraint(("b",), unary([4, 1, 4])),))
         assert brute_force(inst).assignment == {"a": 1, "b": 2}
 
-    def test_guard_limits_enumeration(self):
+    def test_guard_limits_enumeration(self, monkeypatch):
         inst = Instance(tuple(f"v{i}" for i in range(4)), 3, ())
+        monkeypatch.setattr("scsp.solver.BRUTE_FORCE_GUARD", 80)
         with pytest.raises(TooLarge):
-            brute_force(inst, guard=80)
-        assert brute_force(inst, guard=81).evaluation.is_zero
+            brute_force(inst)
+        monkeypatch.setattr("scsp.solver.BRUTE_FORCE_GUARD", 81)
+        assert brute_force(inst).evaluation.is_zero
