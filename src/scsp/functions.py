@@ -41,21 +41,20 @@ class IntervalFunction:
     penalty: Evaluation
 
     def __post_init__(self):
-        # not check_integer, as one is built per term; False fails below
+        # not check_integer, as one is built per term; False fails x < 1
         x, y = self.x_min, self.y_max
         if not (isinstance(x, int) and isinstance(y, int)) or (
-                x is True or y is True):
-            raise ParameterError("interval bounds must be integers")
-        if x < 1 or y < 1:
-            raise ParameterError("interval bounds must be at least 1")
+                x is True or y is True) or x < 1 or y < 1:
+            raise ParameterError(f"interval bounds ({x!r}, {y!r}) must be "
+                                 "integers of at least 1")
         object.__setattr__(self, "penalty", as_evaluation(self.penalty))
 
-    def value_at(self, x: int, y: int, m: int | None = None) -> Evaluation:
-        if x < 1 or y < 1 or (m is not None and (x > m or y > m)):
-            raise DomainError(f"arguments ({x}, {y}) outside the domain")
-        if x < self.x_min or y > self.y_max:
-            return ZERO
-        return self.penalty
+    def value_at(self, x: int, y: int) -> Evaluation:
+        # check_value inlined for evaluate's speed; Instance bounds x, y by M
+        if not (isinstance(x, int) and isinstance(y, int)) or (
+                x is True or y is True) or x < 1 or y < 1:
+            raise DomainError(f"arguments ({x!r}, {y!r}) outside the domain")
+        return ZERO if x < self.x_min or y > self.y_max else self.penalty
 
 
 @frozen_slots
@@ -78,8 +77,7 @@ class UnaryTable:
         return len(self.values)
 
     def value_at(self, d: int) -> Evaluation:
-        if not 1 <= d <= self.m:
-            raise DomainError(f"value {d} outside 1..{self.m}")
+        check_value("d", d, self.m)
         return self.values[d - 1]
 
     @classmethod
@@ -127,8 +125,8 @@ class BinaryTable:
         return len(self.rows)
 
     def value_at(self, x: int, y: int) -> Evaluation:
-        if not (1 <= x <= self.m and 1 <= y <= self.m):
-            raise DomainError(f"arguments ({x}, {y}) outside 1..{self.m}")
+        check_value("x", x, self.m)
+        check_value("y", y, self.m)
         return self.rows[x - 1][y - 1]
 
     @classmethod
@@ -159,6 +157,12 @@ def check_integer(name: str, value, allow_zero: bool = False) -> None:
             or value < (0 if allow_zero else 1)):
         kind = "non-negative" if allow_zero else "positive"
         raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_value(name: str, value, m: int) -> None:
+    """DomainError unless ``value`` is an int, not a bool, in 1..m."""
+    if not isinstance(value, int) or value is True or not 1 <= value <= m:
+        raise DomainError(f"{name} = {value!r} is not an integer in 1..{m}")
 
 
 def abs_diff(m: int, r: int = 1) -> BinaryTable:
@@ -235,15 +239,16 @@ def euclidean_rounded(m: int, denom: int = 1) -> BinaryTable:
 def crisp_relation(m: int, arity: int, allowed) -> UnaryTable | BinaryTable:
     """Zero on the allowed tuples, infinite elsewhere."""
     check_integer("domain size", m)
-    if arity not in (1, 2):
+    check_integer("arity", arity)
+    if arity > 2:
         raise ParameterError(f"arity must be 1 or 2, got {arity}")
     tuples = set()
     for item in allowed:
-        tup = (item,) if isinstance(item, int) else tuple(item)
+        tup = tuple(item) if hasattr(item, "__iter__") else (item,)
         if len(tup) != arity:
             raise ParameterError(f"tuple {tup} does not have arity {arity}")
-        if any(not isinstance(d, int) or not 1 <= d <= m for d in tup):
-            raise DomainError(f"tuple {tup} outside the domain 1..{m}")
+        for d in tup:
+            check_value("tuple entry", d, m)
         tuples.add(tup)
     if arity == 1:
         return UnaryTable.from_function(

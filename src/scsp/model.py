@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import DomainError, ParameterError, ScopeError
+from .errors import ParameterError, ScopeError
 from .evaluation import ZERO, Evaluation, frozen_slots
 from .functions import (BinaryTable, IntervalFunction, UnaryTable,
-                        check_integer)
+                        check_integer, check_value)
 
 ConstraintFunction = Union[UnaryTable, BinaryTable, IntervalFunction]
 
@@ -97,29 +97,22 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
     for v in instance.variables:
         if v not in assignment:
             raise ScopeError(f"assignment missing variable {v!r}")
-        d = assignment[v]
-        if not isinstance(d, int) or not 1 <= d <= instance.domain_size:
-            raise DomainError(
-                f"value {d!r} for {v!r} outside 1..{instance.domain_size}")
+        check_value(v, assignment[v], instance.domain_size)
 
 
 def evaluate(instance: Instance, assignment: Assignment) -> Evaluation:
     """Total penalty of the assignment: the sum over all constraints.
 
-    A constraint that does not charge the assignment usually returns the
-    shared ZERO, which is skipped rather than added.
+    Each function is read as ``value_at`` of its scope's values; one that
+    does not charge the assignment usually returns the shared ZERO, which
+    is skipped rather than added.
     """
     check_assignment(instance, assignment)
     total = ZERO
     for c in instance.constraints:
-        f = c.function
-        if isinstance(f, UnaryTable):
-            value = f.value_at(assignment[c.scope[0]])
-        elif isinstance(f, BinaryTable):
-            value = f.value_at(assignment[c.scope[0]], assignment[c.scope[1]])
-        else:
-            value = f.value_at(assignment[c.scope[0]], assignment[c.scope[1]],
-                               instance.domain_size)
+        s, f = c.scope, c.function
+        value = (f.value_at(assignment[s[0]]) if len(s) == 1
+                 else f.value_at(assignment[s[0]], assignment[s[1]]))
         if value is not ZERO:
             total = total + value
     return total

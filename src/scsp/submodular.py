@@ -166,7 +166,8 @@ def find_kary_violation(values, m: int, k: int):
     lexicographically first violating pair of tuples, or None.  Meant for
     small tables; enumeration is guarded by m**k <= 10**6.
     """
-    if k not in (1, 2, 3):
+    check_integer("k", k)
+    if k > 3:
         raise ParameterError(f"k must be 1, 2, or 3, got {k}")
     check_integer("domain size", m)
     if m ** k > 10 ** 6:

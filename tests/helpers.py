@@ -25,6 +25,11 @@ def unary(values) -> UnaryTable:
     return UnaryTable([INF if v is None else as_evaluation(v) for v in values])
 
 
+def bad_values(m: int) -> tuple:
+    """Values that no domain 1..m holds: each must raise DomainError."""
+    return (True, 1.5, "1", 0, m + 1)
+
+
 def kary_dict(t: BinaryTable):
     """Adapt a binary table to the k-tuple checker's mapping."""
     m = t.m

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (random_assignment, random_gi_instance,
+from helpers import (bad_values, random_assignment, random_gi_instance,
                      random_mixed_instance, reaches_sink_avoiding, unary)
 from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, FlowNetwork, Instance,
                   IntervalFunction, SoftConstraint, as_evaluation,
@@ -538,10 +538,9 @@ class TestCutFromAssignment:
         net = build_network(parse_instance(chain_text))
         with pytest.raises(ScopeError):
             cut_from_assignment(net, {"x": 1, "y": 1})
-        with pytest.raises(DomainError):
-            cut_from_assignment(net, {"x": 1, "y": 1, "z": 5})
-        with pytest.raises(DomainError):
-            cut_from_assignment(net, {"x": 1, "y": 1, "z": 0})
+        for d in bad_values(4):
+            with pytest.raises(DomainError):
+                cut_from_assignment(net, {"x": 1, "y": 1, "z": d})
 
     def test_weight_equals_evaluation(self):
         rng = random.Random(64)

@@ -12,12 +12,12 @@ import pytest
 
 import scsp
 from scsp import (INF, ZERO, ApproximationBrokeSubmodularity, BinaryTable,
-                  DomainError, IntervalFunction, ParameterError, UnaryTable,
-                  abs_diff, arith_relation, as_evaluation, centered_square,
-                  crisp_relation, delay, equality_penalty, euclidean_rounded,
-                  excess, is_submodular, linear, product_complement,
-                  xor_penalty)
-from helpers import random_submodular_table, table, unary
+                  DomainError, Instance, IntervalFunction, ParameterError,
+                  SoftConstraint, UnaryTable, abs_diff, arith_relation,
+                  as_evaluation, centered_square, crisp_relation, delay,
+                  equality_penalty, euclidean_rounded, evaluate, excess,
+                  is_submodular, linear, product_complement, xor_penalty)
+from helpers import bad_values, random_submodular_table, table, unary
 
 
 class TestIntervalFunction:
@@ -36,10 +36,15 @@ class TestIntervalFunction:
 
     def test_domain_checks(self):
         f = IntervalFunction(1, 1, 1)
+        for x, y in ((0, 1), (1, 0), (True, 1), (1, True), (1.5, 1),
+                     (1, 1.5), ("1", 1)):
+            with pytest.raises(DomainError):
+                f.value_at(x, y)
+        # the upper bound M is the instance's: evaluate checks it first
+        inst = Instance(("a", "b"), 2, (
+            SoftConstraint(("a", "b"), IntervalFunction(1, 2, 1)),))
         with pytest.raises(DomainError):
-            f.value_at(0, 1)
-        with pytest.raises(DomainError):
-            f.value_at(1, 3, m=2)
+            evaluate(inst, {"a": 1, "b": 3})
         with pytest.raises(ParameterError):
             IntervalFunction(0, 1, 1)
         with pytest.raises(ParameterError):
@@ -55,10 +60,9 @@ class TestTables:
         assert t.value_at(1) == ZERO
         assert t.value_at(2) == as_evaluation("1/2")
         assert t.value_at(3) == INF
-        with pytest.raises(DomainError):
-            t.value_at(0)
-        with pytest.raises(DomainError):
-            t.value_at(4)
+        for d in bad_values(3):
+            with pytest.raises(DomainError):
+                t.value_at(d)
         with pytest.raises(ParameterError):
             UnaryTable([])
 
@@ -66,8 +70,11 @@ class TestTables:
         t = table([[8, 7], [7, 5]])
         assert t.m == 2
         assert t.value_at(1, 2) == as_evaluation(7)
-        with pytest.raises(DomainError):
-            t.value_at(3, 1)
+        for d in bad_values(2):
+            with pytest.raises(DomainError):
+                t.value_at(d, 1)
+            with pytest.raises(DomainError):
+                t.value_at(1, d)
         with pytest.raises(ParameterError):
             BinaryTable([[1, 2], [3]])
         with pytest.raises(ParameterError):
@@ -192,12 +199,20 @@ class TestBuilders:
         assert leq == table([[0, 0, 0], [None, 0, 0], [None, None, 0]])
         point = crisp_relation(3, 1, [2])
         assert point == unary([None, 0, None])
-        with pytest.raises(ParameterError):
-            crisp_relation(3, 3, [])
-        with pytest.raises(DomainError):
-            crisp_relation(3, 1, [4])
+        for arity in (True, 1.0, 3, 0):
+            with pytest.raises(ParameterError):
+                crisp_relation(3, arity, [])
+        for d in bad_values(3):
+            with pytest.raises(DomainError):
+                crisp_relation(3, 1, [d])
+            with pytest.raises(DomainError):
+                crisp_relation(3, 1, [(d,)])
+            with pytest.raises(DomainError):
+                crisp_relation(3, 2, [(1, 1), (d, 2)])
         with pytest.raises(ParameterError):
             crisp_relation(3, 2, [(1,)])
+        with pytest.raises(ParameterError):
+            crisp_relation(3, 2, [2])
 
     def test_arith_relation(self):
         assert arith_relation(3, "leq", 1, 1) == table(

@@ -7,7 +7,7 @@ import pytest
 from scsp import (INF, ZERO, DomainError, Instance, IntervalFunction,
                   ParameterError, ScopeError, SoftConstraint, abs_diff,
                   as_evaluation, check_assignment, evaluate, parse_instance)
-from helpers import random_mixed_instance, table, unary
+from helpers import bad_values, random_mixed_instance, table, unary
 
 
 def chain_instance():
@@ -89,12 +89,16 @@ class TestCheckAssignment:
 
     def test_out_of_range_value(self):
         inst = chain_instance()
-        with pytest.raises(DomainError):
-            check_assignment(inst, {"x": 1, "y": 1, "z": 5})
-        with pytest.raises(DomainError):
-            check_assignment(inst, {"x": 0, "y": 1, "z": 1})
-        with pytest.raises(DomainError):
-            check_assignment(inst, {"x": 1.0, "y": 1, "z": 1})
+        for d in bad_values(4) + (1.0,):
+            with pytest.raises(DomainError, match="z = "):
+                check_assignment(inst, {"x": 1, "y": 1, "z": d})
+            with pytest.raises(DomainError):
+                evaluate(inst, {"x": d, "y": 1, "z": 1})
+        # and on a table-only instance, whose tables read the values
+        tables = Instance(("a",), 2, (SoftConstraint(("a",), unary([3, 0])),))
+        for d in bad_values(2):
+            with pytest.raises(DomainError):
+                evaluate(tables, {"a": d})
 
     def test_extra_keys_are_ignored(self):
         check_assignment(chain_instance(), {"x": 1, "y": 1, "z": 1, "w": 9})

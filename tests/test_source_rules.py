@@ -51,6 +51,18 @@ def private_imports(tree):
             if any(part.startswith("_") for part in alias.name.split("."))]
 
 
+def literal_int_memberships(tree):
+    """Parameter checks such as ``k not in (1, 2)``, which admit True and
+    1.0: an integer is checked with check_integer and then bounded."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for op, right in zip(node.ops, node.comparators)
+            if isinstance(op, ast.NotIn)
+            and isinstance(right, (ast.Tuple, ast.List, ast.Set))
+            and any(isinstance(e, ast.Constant) and type(e.value) is int
+                    for e in right.elts)]
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
@@ -60,7 +72,8 @@ def test_the_library_is_found():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-@pytest.mark.parametrize("rule", [asserts, unslotted_dataclasses])
+@pytest.mark.parametrize("rule", [asserts, unslotted_dataclasses,
+                                  literal_int_memberships])
 def test_library_rules(rule, path):
     assert rule(parse(path)) == []
 
@@ -75,6 +88,7 @@ def test_cli_imports_public_names_only():
     (unslotted_dataclasses, "@dataclasses.dataclass\nclass A:\n    x: int\n"),
     (private_imports, "from .solver import _key, solve\n"),
     (private_imports, "import scsp._internal\n"),
+    (literal_int_memberships, "if k not in (1, 2, 3):\n    pass\n"),
 ])
 def test_each_rule_fires_on_a_breach(rule, source):
     assert rule(ast.parse(source)) != []

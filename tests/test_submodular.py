@@ -170,8 +170,9 @@ class TestKaryCheck:
         assert pair == expected == ((1, 1, 2), (1, 2, 1))
 
     def test_parameter_checks(self):
-        with pytest.raises(ParameterError):
-            find_kary_violation({}, 2, 4)
+        for k in (True, 1.0, 4, 0):
+            with pytest.raises(ParameterError):
+                find_kary_violation({(1,): 0, (2,): 0}, 2, k)
         with pytest.raises(ParameterError):
             find_kary_violation({}, 0, 2)
         with pytest.raises(TooLarge):
