@@ -10,8 +10,8 @@ absorbing infinity.
 from .errors import (ApproximationBrokeSubmodularity, DecompositionError,
                      DomainError, GadgetMismatch, IsSubmodular,
                      NotSubmodular, ParameterError, ParseError,
-                     PreconditionViolated, ScopeError, ScspError, TooLarge,
-                     WrongConstraintKind)
+                     PenaltyError, PreconditionViolated, ScopeError,
+                     ScspError, TooLarge, WrongConstraintKind)
 from .evaluation import INF, ZERO, Evaluation, as_evaluation
 from .fileformat import format_instance, parse_instance
 from .functions import (BinaryTable, IntervalFunction, UnaryTable, abs_diff,
@@ -40,7 +40,8 @@ __all__ = [
     "CutResult", "Decomposition", "DecompositionError", "DomainError",
     "Evaluation", "FlowEdge", "FlowNetwork", "GadgetMismatch",
     "GadgetResult", "INF", "Instance", "IntervalFunction", "IntervalTerm",
-    "IsSubmodular", "NotSubmodular", "PATTERNS", "ParameterError", "ParseError",
+    "IsSubmodular", "NotSubmodular", "PATTERNS", "ParameterError",
+    "ParseError", "PenaltyError",
     "PreconditionViolated", "SINK", "SOURCE", "ScopeError", "ScspError",
     "SoftConstraint", "Solution", "SubmodularityWitness", "TooLarge",
     "UnaryTable", "WrongConstraintKind", "ZERO", "abs_diff",

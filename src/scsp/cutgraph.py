@@ -32,7 +32,7 @@ from math import lcm
 
 from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
 from .evaluation import INF, ZERO, Evaluation, frozen_slots
-from .functions import IntervalFunction, check_integer
+from .functions import IntervalFunction, as_tuple, check_integer, check_type
 from .model import Instance, check_assignment, name_set
 
 SOURCE = "S"
@@ -70,7 +70,8 @@ class FlowNetwork:
     positions in ``nodes``; ``constraint_indices[i]`` is None for a
     structural edge.  Every network is checked when it is constructed:
     TooLarge past NETWORK_GUARD level nodes, before any id is allocated;
-    ParameterError for an m that is not a positive integer, repeated
+    ParameterError for a field that is not iterable (or is a str) where a
+    tuple is expected, an m that is not a positive integer, repeated
     variables, edge tuples of unequal lengths, a capacity that is not an
     Evaluation or an id that is not a node's.
     """
@@ -83,12 +84,13 @@ class FlowNetwork:
     constraint_indices: tuple[int | None, ...] = field(repr=False)
 
     def __post_init__(self):
-        variables, m = tuple(self.variables), self.m
+        variables, m = as_tuple("variables", self.variables), self.m
         check_integer("m", m)
         n = 2 + _level_nodes(variables, m)
         name_set(variables)
-        tails, heads, capacities, constraints = map(tuple, (
-            self.tails, self.heads, self.capacities, self.constraint_indices))
+        tails, heads, capacities, constraints = (
+            as_tuple(name, getattr(self, name)) for name in (
+                "tails", "heads", "capacities", "constraint_indices"))
         if not len(tails) == len(heads) == len(capacities) == len(constraints):
             raise ParameterError("tails, heads, capacities and constraint "
                                  "indices must have one length")
@@ -146,6 +148,7 @@ def build_network(instance: Instance) -> FlowNetwork:
     allocating anything, when there would be more than NETWORK_GUARD level
     nodes.
     """
+    check_type("instance", instance, Instance)
     m = instance.domain_size
     variables = instance.variables
     # every id is taken from this list, so the arcs share its int objects
@@ -186,6 +189,7 @@ def min_cut(network: FlowNetwork) -> CutResult:
     graph, which makes the answer deterministic.  A linear-time optimality
     certificate (_certify) checks each answer; a failure raises CutMismatch.
     """
+    check_type("network", network, FlowNetwork)
     tails, heads, capacities = (network.tails, network.heads,
                                 network.capacities)
     nodes = network.nodes
@@ -378,6 +382,7 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
     exactly when the constraint charges the assignment, so the cut weight
     equals the assignment's evaluation.
     """
+    check_type("network", network, FlowNetwork)
     check_assignment(Instance(network.variables, network.m, ()), assignment)
     inside = [True, False]  # by node id, starting with S and T
     for v in network.variables:

@@ -18,7 +18,14 @@ class ScopeError(ScspError):
 
 
 class ParameterError(ScspError):
-    """A builder was called with parameters outside its legal range."""
+    """A constructor or function was called with an argument of the wrong
+    kind or outside its legal range."""
+
+
+class PenaltyError(ParameterError, ValueError, TypeError):
+    """A value is not a penalty, neither a non-negative numbers.Rational
+    (other than a bool) nor a token ``inf``, ``n`` or ``p/q``; or, as a
+    builder's coefficient, it is infinite or a zero that is not allowed."""
 
 
 class ApproximationBrokeSubmodularity(ScspError):

@@ -11,11 +11,13 @@ drift.
 from __future__ import annotations
 
 import functools
+import numbers
+import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
-from .errors import ParameterError, PreconditionViolated
+from .errors import PenaltyError, PreconditionViolated
 
 
 def frozen_slots(cls):
@@ -51,19 +53,14 @@ class Evaluation:
 
     Instances are immutable and compare by value.  The infinite value is
     exposed as the module constant :data:`INF`; it is never encoded as a
-    large number.  Floats are refused, as by :func:`as_evaluation`.
+    large number.  ``Evaluation(value)`` takes what :func:`as_evaluation`
+    takes, an Evaluation aside.
     """
 
     _value: Fraction | None
 
     def __init__(self, value):
-        if isinstance(value, float):
-            raise TypeError("refusing float; pass a Fraction or a string "
-                            "instead")
-        f = Fraction(value)
-        if f < 0:
-            raise ValueError(f"penalties must be non-negative, got {f}")
-        object.__setattr__(self, "_value", f)
+        object.__setattr__(self, "_value", _exact(value))
 
     @classmethod
     def _make(cls, fraction_or_none):
@@ -137,30 +134,62 @@ INF = Evaluation._make(None)
 ZERO = Evaluation._make(Fraction(0))
 
 
-def as_evaluation(value) -> Evaluation:
-    """Coerce ints, Fractions, Evaluations, or tokens like ``7``, ``3/4``,
-    ``inf`` to an Evaluation.
+# the file format's penalty token, in ASCII digits
+_TOKEN = re.compile(r"inf|[0-9]+(/[0-9]+)?")
 
-    Floats are rejected: the library is exact, and a caller holding a float
-    should decide for itself how to rationalize it.
+
+def _exact(value) -> Fraction | None:
+    """The exact value of a penalty, None for infinity: a numbers.Rational
+    other than a bool, or a token ``inf``, ``n`` or ``p/q``.  PenaltyError
+    for anything else and for a negative value."""
+    if isinstance(value, str):
+        if not _TOKEN.fullmatch(value):
+            raise PenaltyError(f"bad evaluation {value!r}; "
+                               "use an integer, p/q, or inf")
+        if value == "inf":
+            return None
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise PenaltyError(f"bad evaluation {value!r}; "
+                               "zero denominator") from None
+        except ValueError:  # more digits than int() converts
+            raise PenaltyError("bad evaluation; too many digits") from None
+    if not isinstance(value, numbers.Rational) or isinstance(value, bool):
+        raise PenaltyError(f"refusing {type(value).__name__}; pass a "
+                           "non-negative rational or a token such as 7, "
+                           "3/4 or inf")
+    f = Fraction(value)
+    if f < 0:
+        raise PenaltyError("penalties must be non-negative")
+    return f
+
+
+def as_evaluation(value) -> Evaluation:
+    """The one gate for a penalty value: an Evaluation as it is, else a
+    non-negative ``numbers.Rational`` that is not a bool, or a token of the
+    file format, ``inf``, ``n`` or ``p/q`` in ASCII digits, made into an
+    Evaluation.  Everything else raises PenaltyError: floats (the library
+    is exact, and a caller holding a float should decide for itself how to
+    rationalize it), bools, other strings, negative values, zero
+    denominators and tokens too long to convert.
     """
     if isinstance(value, Evaluation):
         return value
-    if isinstance(value, str) and value.strip() == "inf":
-        return INF
-    return Evaluation(value)
+    f = _exact(value)
+    return INF if f is None else Evaluation._make(f)
 
 
 def exact_coefficient(name: str, value, allow_zero: bool = False) -> Evaluation:
     """``value`` through :func:`as_evaluation`, as a builder's coefficient:
-    ParameterError for a float, a malformed or negative value, infinity,
-    or zero unless ``allow_zero``."""
+    PenaltyError, naming the coefficient, for a value the gate refuses,
+    infinity, or zero unless ``allow_zero``."""
     try:
         e = as_evaluation(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except PenaltyError:
         e = None
     if e is None or e.is_infinite or (e.is_zero and not allow_zero):
         kind = "non-negative" if allow_zero else "positive"
-        raise ParameterError(f"{name} must be an exact finite {kind} "
-                             f"rational, got {value!r}")
+        raise PenaltyError(f"{name} must be an exact finite {kind} "
+                           f"rational, got {value!r}")
     return e

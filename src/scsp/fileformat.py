@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, PenaltyError
 from .evaluation import Evaluation, as_evaluation
 from .functions import BinaryTable, IntervalFunction, UnaryTable
 from .model import Instance, SoftConstraint
 
 _NATURAL = re.compile(r"[0-9]+")
-_EVALUATION_TOKEN = re.compile(r"inf|[0-9]+(/[0-9]+)?")
 
 
 def _parse_natural(token: str, lineno: int, message: str) -> int:
@@ -37,16 +36,10 @@ def _parse_natural(token: str, lineno: int, message: str) -> int:
 
 
 def _parse_evaluation(token: str, lineno: int) -> Evaluation:
-    if not _EVALUATION_TOKEN.fullmatch(token):
-        raise ParseError(lineno, f"bad evaluation {token!r}; "
-                         "use an integer, p/q, or inf")
     try:
         return as_evaluation(token)
-    except ZeroDivisionError:
-        raise ParseError(lineno, f"bad evaluation {token!r}; "
-                         "zero denominator") from None
-    except ValueError:  # more digits than int() converts
-        raise ParseError(lineno, "bad evaluation; too many digits") from None
+    except PenaltyError as err:
+        raise ParseError(lineno, str(err)) from None
 
 
 def parse_instance(text: str) -> Instance:

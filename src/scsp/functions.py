@@ -67,7 +67,8 @@ class UnaryTable:
                               compare=False)  # computed on first use
 
     def __post_init__(self):
-        vals = tuple(as_evaluation(v) for v in self.values)
+        vals = tuple(map(as_evaluation,
+                         as_tuple("unary table values", self.values)))
         if not vals:
             raise ParameterError("unary table needs at least one entry")
         object.__setattr__(self, "values", vals)
@@ -112,7 +113,9 @@ class BinaryTable:
                               compare=False)  # computed on first use
 
     def __post_init__(self):
-        grid = tuple(tuple(as_evaluation(v) for v in row) for row in self.rows)
+        grid = tuple(
+            tuple(map(as_evaluation, as_tuple("binary table row", row)))
+            for row in as_tuple("binary table rows", self.rows))
         if not grid:
             raise ParameterError("binary table needs at least one row")
         m = len(grid)
@@ -157,6 +160,26 @@ def check_integer(name: str, value, allow_zero: bool = False) -> None:
             or value < (0 if allow_zero else 1)):
         kind = "non-negative" if allow_zero else "positive"
         raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """ParameterError unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be of type {kind.__name__}, "
+                             f"not {type(value).__name__}")
+
+
+def as_tuple(name: str, value) -> tuple:
+    """``value`` as a tuple; ParameterError for a str, which would be read
+    as its characters, and for anything that is not iterable."""
+    if isinstance(value, str):
+        raise ParameterError(f"{name} must not be a str, got {value!r}")
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be iterable, not "
+                             f"{type(value).__name__}") from None
+    return tuple(items)
 
 
 def check_value(name: str, value, m: int) -> None:

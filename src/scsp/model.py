@@ -7,13 +7,14 @@ finding an assignment of minimum evaluation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import ParameterError, ScopeError
 from .evaluation import ZERO, Evaluation, frozen_slots
 from .functions import (BinaryTable, IntervalFunction, UnaryTable,
-                        check_integer, check_value)
+                        as_tuple, check_integer, check_type, check_value)
 
 ConstraintFunction = Union[UnaryTable, BinaryTable, IntervalFunction]
 
@@ -45,9 +46,8 @@ class SoftConstraint:
     function: ConstraintFunction
 
     def __post_init__(self):
-        if isinstance(self.scope, str):
-            raise ParameterError(f"scope must not be a str, got {self.scope!r}")
-        object.__setattr__(self, "scope", tuple(self.scope))
+        if type(self.scope) is not tuple:
+            object.__setattr__(self, "scope", as_tuple("scope", self.scope))
         arity = 1 if isinstance(self.function, UnaryTable) else 2
         if not isinstance(self.function,
                           (UnaryTable, BinaryTable, IntervalFunction)):
@@ -69,8 +69,8 @@ class Instance:
     constraints: tuple[SoftConstraint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        for name in ("variables", "constraints"):
+            object.__setattr__(self, name, as_tuple(name, getattr(self, name)))
         m = self.domain_size
         check_integer("domain size", m)
         declared = name_set(self.variables)
@@ -80,9 +80,14 @@ class Instance:
             if not isinstance(c, SoftConstraint):
                 raise ParameterError(f"constraint {index} is a "
                                      f"{type(c).__name__}, not a SoftConstraint")
-            for v in c.scope:
-                if v not in declared:
-                    raise ScopeError(f"constraint mentions undeclared variable {v!r}")
+            try:
+                for v in c.scope:
+                    if v not in declared:
+                        raise ScopeError(
+                            f"constraint mentions undeclared variable {v!r}")
+            except TypeError:
+                raise ParameterError(f"constraint {index} names an "
+                                     "unhashable variable") from None
             f = c.function
             if isinstance(f, (UnaryTable, BinaryTable)) and f.m != m:
                 raise ParameterError(
@@ -93,7 +98,10 @@ class Instance:
 
 
 def check_assignment(instance: Instance, assignment: Assignment) -> None:
-    """Raise unless the assignment covers every variable with an in-range value."""
+    """Raise unless the instance is an Instance and the assignment a
+    mapping that covers every variable with an in-range value."""
+    check_type("instance", instance, Instance)
+    check_type("assignment", assignment, Mapping)
     for v in instance.variables:
         if v not in assignment:
             raise ScopeError(f"assignment missing variable {v!r}")

@@ -21,7 +21,7 @@ from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
                      NotSubmodular, TooLarge)
 from .evaluation import INF, ZERO, Evaluation, exact_coefficient, frozen_slots
-from .functions import BinaryTable, IntervalFunction, UnaryTable
+from .functions import BinaryTable, IntervalFunction, UnaryTable, check_type
 from .model import Instance, SoftConstraint, evaluate
 from .submodular import (decompose_binary, decompose_unary, find_violation,
                          find_violation_full)
@@ -50,6 +50,7 @@ def check_submodular(instance: Instance) -> None:
     requirement :func:`solve` places on its input.  A table on a repeated
     scope only ever sees its diagonal; each distinct table is checked once.
     """
+    check_type("instance", instance, Instance)
     checked = set()
     for index, c in enumerate(instance.constraints):
         f = c.function
@@ -142,6 +143,7 @@ def compile_to_intervals(instance: Instance) -> Instance:
     interval constraints.  Each distinct table is checked and decomposed
     once per call.
     """
+    check_type("instance", instance, Instance)
     constraints = tuple(part for _, parts in expansions(instance)
                         for part in parts)
     return Instance(instance.variables, instance.domain_size, constraints)
@@ -163,6 +165,7 @@ def solve(instance: Instance) -> Solution:
 def brute_force(instance: Instance) -> Solution:
     """Exhaustive minimum, keeping the lexicographically first optimum.
     Raises TooLarge past ``BRUTE_FORCE_GUARD`` assignments."""
+    check_type("instance", instance, Instance)
     names = instance.variables
     m = instance.domain_size
     if m ** len(names) > BRUTE_FORCE_GUARD:

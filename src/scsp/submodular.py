@@ -34,10 +34,13 @@ of it, and each finished line must be infinite from there on and is zeroed
 there.  After both passes the residual must be identically zero; anything
 else raises DecompositionError.
 
-Internally a table cell is a plain Fraction, or None for infinity; the
-inner loops run hot enough under decomposition-heavy workloads that the
-arithmetic is done on raw values and wrapped into Evaluations only at the
-boundaries.
+Internally a table is scaled once by k, the lcm of its finite cells'
+denominators, so a cell is a plain int, or None for infinity: the inner
+loops run hot enough under decomposition-heavy workloads that the
+arithmetic is done on raw ints, and an amount becomes ``Fraction(v, k)``
+only where a term or a residual table is built.  Scaling by a positive k
+keeps every comparison, so the check and the terms are those of the
+unscaled table.
 """
 
 from __future__ import annotations
@@ -45,17 +48,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import NamedTuple
 
 from .errors import (DecompositionError, DomainError, NotSubmodular,
                      ParameterError, PreconditionViolated, TooLarge)
-from .evaluation import ZERO, Evaluation, as_evaluation, frozen_slots
+from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
 from .functions import (BinaryTable, IntervalFunction, UnaryTable,
                         check_integer)
 
 PATTERNS = ("xy", "yx", "xx", "yy")
-
-_F0 = Fraction(0)
 
 
 class SubmodularityWitness(NamedTuple):
@@ -68,12 +71,21 @@ class SubmodularityWitness(NamedTuple):
 
 
 def _raw_grid(table: BinaryTable):
-    # Fraction cells, None for infinity.
-    return [[v._value for v in row] for row in table.rows]
+    """The table's cells times k as ints, None for infinity, and k, the lcm
+    of the finite cells' denominators."""
+    cells = [[v._value for v in row] for row in table.rows]
+    k = lcm(*{f.denominator for row in cells for f in row if f is not None})
+    return [[None if f is None else f.numerator * (k // f.denominator)
+             for f in row] for row in cells], k
 
 
-def _table_from_raw(grid) -> BinaryTable:
-    return BinaryTable([[Evaluation._make(v) for v in row] for row in grid])
+def _unscaled(v, k) -> Evaluation:
+    """The Evaluation of a raw cell or amount ``v`` of a table scaled by k."""
+    return Evaluation._make(None if v is None else Fraction(v, k))
+
+
+def _table_from_raw(grid, k) -> BinaryTable:
+    return BinaryTable([[_unscaled(v, k) for v in row] for row in grid])
 
 
 def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
@@ -97,7 +109,7 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
     The scan order is fixed, so the witness is deterministic.
     """
     m = table.m
-    raw = _raw_grid(table)
+    raw, _ = _raw_grid(table)
     row_first = [-1] * m
     row_last = [-1] * m
     col_first = [-1] * m
@@ -139,9 +151,10 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
 
 
 def find_violation_full(table: BinaryTable) -> SubmodularityWitness | None:
-    """Reference check over every quadruple, lexicographic in (u, v, x, y)."""
+    """Reference check over every quadruple, lexicographic in (u, v, x, y),
+    on the unscaled Fraction cells."""
     m = table.m
-    raw = _raw_grid(table)
+    raw = [[v._value for v in row] for row in table.rows]
     for u in range(1, m + 1):
         for v in range(1, m + 1):
             for x in range(u + 1, m + 1):
@@ -224,25 +237,53 @@ def term_table(term: IntervalTerm, m: int) -> BinaryTable:
 
 
 def reconstruct(terms, m: int) -> BinaryTable:
-    """Pointwise sum of the terms, tabulated over (x, y) in 1..m squared."""
-    grid = [[ZERO] * m for _ in range(m)]
+    """Pointwise sum of the terms, tabulated over (x, y) in 1..m squared.
+
+    Each term adds its amount at the four corners of its rectangle in a
+    difference grid, in ints scaled by the lcm of the finite amounts'
+    denominators, or one count to a second grid of infinite coverage; the
+    2-D prefix sums of the two grids are the table, in O(M^2 + terms).
+    """
+    terms = tuple(terms)
+    k = lcm(*{t.interval.penalty._value.denominator for t in terms
+              if not t.interval.penalty.is_infinite})
+    amounts = [[0] * (m + 1) for _ in range(m + 1)]
+    infinite = [[0] * (m + 1) for _ in range(m + 1)]
     for term in terms:
         f = term.interval
         if f.x_min > m or f.y_max > m:
             raise DomainError(
                 f"interval bounds ({f.x_min}, {f.y_max}) exceed domain size {m}")
-        p = f.penalty
         if term.pattern in ("xy", "yx"):  # "xy" charges x >= x_min, y <= y_max
-            rows, cols = range(f.x_min - 1, m), range(0, f.y_max)
+            rows, cols = (f.x_min - 1, m), (0, f.y_max)
         else:                             # "xx" charges x in [x_min, y_max]
-            rows, cols = range(f.x_min - 1, f.y_max), range(0, m)
+            rows, cols = (f.x_min - 1, f.y_max), (0, m)
         if term.pattern[0] == "y":        # "yx", "yy": the same on (y, x)
             rows, cols = cols, rows
-        for i in rows:
-            row = grid[i]
-            for j in cols:
-                row[j] = row[j] + p
-    return BinaryTable(grid)
+        (r0, r1), (c0, c1) = rows, cols
+        if r0 >= r1 or c0 >= c1:
+            continue                      # an empty diagonal interval
+        p = f.penalty._value
+        grid, w = ((infinite, 1) if p is None
+                   else (amounts, p.numerator * (k // p.denominator)))
+        grid[r0][c0] += w
+        grid[r0][c1] -= w
+        grid[r1][c0] -= w
+        grid[r1][c1] += w
+    return BinaryTable([[INF if n else Fraction(a, k) for a, n in zip(*pair)]
+                        for pair in zip(_summed(amounts, m),
+                                        _summed(infinite, m))])
+
+
+def _summed(grid, m):
+    """The 2-D prefix sums of a difference grid, over its first m rows and
+    columns."""
+    above = [0] * m
+    sums = []
+    for row in grid[:m]:
+        above = list(map(add, above, itertools.accumulate(row[:m])))
+        sums.append(above)
+    return sums
 
 
 def decompose_unary(table: UnaryTable) -> tuple[IntervalTerm, ...]:
@@ -256,7 +297,7 @@ def decompose_binary(table: BinaryTable) -> Decomposition:
 
     Raises NotSubmodular (with a witness) otherwise.
     """
-    terms, grid = _run_stages(
+    terms, grid, _ = _run_stages(
         table, (_strip_inconsistent, _strip_penalized, _peel))
     for row in grid:
         for v in row:
@@ -271,8 +312,8 @@ def strip_inconsistent(table: BinaryTable):
     Returns (terms, residual) with table == sum(terms) + residual and the
     residual free of inconsistent lines.  Input must be submodular.
     """
-    terms, grid = _run_stages(table, (_strip_inconsistent,))
-    return terms, _table_from_raw(grid)
+    terms, grid, k = _run_stages(table, (_strip_inconsistent,))
+    return terms, _table_from_raw(grid, k)
 
 
 def strip_penalized(table: BinaryTable):
@@ -281,8 +322,8 @@ def strip_penalized(table: BinaryTable):
     Returns (terms, residual); the residual has a zero in every row and
     column.  Input must be submodular and free of inconsistent lines.
     """
-    terms, grid = _run_stages(table, (_strip_penalized,))
-    return terms, _table_from_raw(grid)
+    terms, grid, k = _run_stages(table, (_strip_penalized,))
+    return terms, _table_from_raw(grid, k)
 
 
 _TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
@@ -290,18 +331,18 @@ _TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
 
 def _run_stages(table, stages):
     """Check the table, then run each stage over its rows and then over its
-    columns.  Returns the terms and the raw residual grid."""
+    columns.  Returns the terms, the raw residual grid and its scale."""
     witness = find_violation(table)
     if witness is not None:
         raise NotSubmodular(witness)
     m = table.m
-    grid = _raw_grid(table)
+    grid, k = _raw_grid(table)
     terms = []  # (pattern, x_min, y_max, raw penalty)
     for stage in stages:
         stage(grid, m, terms)
         grid = _on_columns(stage, grid, m, terms)
-    return tuple(IntervalTerm(IntervalFunction(a, b, Evaluation._make(v)), p)
-                 for p, a, b, v in terms), grid
+    return tuple(IntervalTerm(IntervalFunction(a, b, _unscaled(v, k)), p)
+                 for p, a, b, v in terms), grid, k
 
 
 def _on_columns(stage, grid, m, terms):
@@ -328,7 +369,7 @@ def _strip_inconsistent(grid, m, terms):
         # The whole table is infinite; one blanket term covers it.
         terms.append(("xy", 1, m, None))
         for i in range(m):
-            grid[i] = [_F0] * m
+            grid[i] = [0] * m
         return
     for i in range(first - 1, -1, -1):
         terms.append(("xx", i + 1, i + 1, None))
@@ -347,8 +388,8 @@ def _strip_penalized(grid, m, terms):
     """
     for i in range(m):
         row = grid[i]
-        mu = _F0 if 0 in row else min((v for v in row if v is not None),
-                                      default=None)
+        mu = 0 if 0 in row else min((v for v in row if v is not None),
+                                    default=None)
         if mu is None:
             raise DecompositionError("inconsistent line while stripping minima")
         if mu != 0:
@@ -365,7 +406,7 @@ def _peel(grid, m, terms):
     lowers ``end``, the first column it covers, to its anchor: the zero search
     stops short of ``end``, and a finished row must be infinite from there on.
     """
-    taken = [_F0] * m  # taken[j]: finite amount pending in column j
+    taken = [0] * m  # taken[j]: finite amount pending in column j
     end = m
     for i in range(m - 1, -1, -1):
         row = grid[i]
@@ -393,7 +434,7 @@ def _peel(grid, m, terms):
                 taken[k] += delta
         if any(v is not None for v in row[end:]):
             raise DecompositionError("finite cell under an infinite term")
-        row[end:] = [_F0] * (m - end)
+        row[end:] = [0] * (m - end)
         for k, v in enumerate(row[:end]):
             if v is not None:
                 residual = v - taken[k]

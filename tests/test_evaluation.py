@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scsp import INF, ZERO, Evaluation, PreconditionViolated, as_evaluation
+from scsp import (INF, ZERO, Evaluation, PenaltyError, PreconditionViolated,
+                  as_evaluation)
 
 finite = st.fractions(min_value=0, max_denominator=50).map(as_evaluation)
 evaluations = st.one_of(finite, st.just(INF))
@@ -83,6 +84,15 @@ def test_as_evaluation_coercions():
         as_evaluation("-1")
     with pytest.raises(ValueError):
         as_evaluation("nonsense")
+    # one gate: the file format's tokens and exact rationals, nothing else
+    assert Evaluation("inf") == INF and as_evaluation("inf") is INF
+    assert Evaluation("01") == as_evaluation("2/2") == as_evaluation(1)
+    for value in (True, False, 0.5, "1.5", "1e3", " 3 ", "\u0661", "1/0",
+                  "-1", -1, Fraction(-1, 2), None, "1" * 5000, [1]):
+        with pytest.raises(PenaltyError):
+            as_evaluation(value)
+        with pytest.raises(PenaltyError):
+            Evaluation(value)
 
 
 def test_constructor_refuses_floats():

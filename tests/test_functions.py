@@ -13,10 +13,11 @@ import pytest
 import scsp
 from scsp import (INF, ZERO, ApproximationBrokeSubmodularity, BinaryTable,
                   DomainError, Instance, IntervalFunction, ParameterError,
-                  SoftConstraint, UnaryTable, abs_diff, arith_relation,
-                  as_evaluation, centered_square, crisp_relation, delay,
-                  equality_penalty, euclidean_rounded, evaluate, excess,
-                  is_submodular, linear, product_complement, xor_penalty)
+                  PenaltyError, SoftConstraint, UnaryTable, abs_diff,
+                  arith_relation, as_evaluation, centered_square,
+                  crisp_relation, delay, equality_penalty, euclidean_rounded,
+                  evaluate, excess, is_submodular, linear,
+                  product_complement, xor_penalty)
 from helpers import bad_values, random_submodular_table, table, unary
 
 
@@ -51,6 +52,9 @@ class TestIntervalFunction:
             IntervalFunction("1", 1, 1)
         with pytest.raises(ParameterError):
             IntervalFunction(True, 1, 1)
+        for penalty in ("x", None, True, 0.5, -1, "1/0"):
+            with pytest.raises(PenaltyError):
+                IntervalFunction(1, 2, penalty)
 
 
 class TestTables:
@@ -65,6 +69,9 @@ class TestTables:
                 t.value_at(d)
         with pytest.raises(ParameterError):
             UnaryTable([])
+        for cell in (-1, 0.5, True, "1.5", None):
+            with pytest.raises(PenaltyError):
+                UnaryTable([0, cell])
 
     def test_binary_basics(self):
         t = table([[8, 7], [7, 5]])
@@ -79,6 +86,9 @@ class TestTables:
             BinaryTable([[1, 2], [3]])
         with pytest.raises(ParameterError):
             BinaryTable([])
+        for cell in (-1, 0.5, True, "1.5", None):
+            with pytest.raises(PenaltyError):
+                BinaryTable([[cell]])
 
     def test_addition_is_entrywise(self):
         a = table([[1, 2], [3, None]])
@@ -152,6 +162,9 @@ class TestBuilders:
             [["7/2", "11/2"], ["9/2", "13/2"]])
         for a in (-1, 0.1, "1/0", None, "inf"):
             with pytest.raises(ParameterError):
+                linear(2, a, 0, 0)
+        for a in (True, " 3 ", "1" * 5000, -1, "inf"):
+            with pytest.raises(PenaltyError, match="a must be"):
                 linear(2, a, 0, 0)
 
     def test_product_complement(self):

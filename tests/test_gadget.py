@@ -8,7 +8,7 @@ import pytest
 from helpers import perturb_entry, random_submodular_table, table
 from scsp import (INF, find_violation_full, is_submodular, product_complement,
                   xor_gadget, xor_penalty)
-from scsp.errors import IsSubmodular, ParameterError, TooLarge
+from scsp.errors import IsSubmodular, ParameterError, PenaltyError, TooLarge
 
 
 class TestXorTable:
@@ -63,6 +63,9 @@ class TestGuards:
             xor_gadget(xor_penalty(), epsilon="inf")
         with pytest.raises(ParameterError):
             xor_gadget(xor_penalty(), epsilon=0.5)
+        for epsilon in (True, "1.5", None):
+            with pytest.raises(PenaltyError, match="epsilon"):
+                xor_gadget(xor_penalty(), epsilon=epsilon)
 
     def test_projection_guard(self):
         rows = [[0] * 15 for _ in range(15)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from scsp import (INF, Decomposition, DomainError,
+from scsp import (INF, PATTERNS, ZERO, Decomposition, DomainError,
                   IntervalFunction, IntervalTerm, NotSubmodular,
                   ParameterError, SubmodularityWitness, TooLarge, abs_diff,
                   arith_relation, as_evaluation, decompose_binary,
@@ -215,6 +215,25 @@ class TestTermsAndReconstruct:
         t = IntervalTerm(IntervalFunction(1, 4, 1), "xy")
         with pytest.raises(DomainError):
             reconstruct((t,), 3)
+
+    def test_reconstruct_is_each_cells_sum_of_term_values(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            terms = [IntervalTerm(IntervalFunction(
+                rng.randint(1, m), rng.randint(1, m),
+                INF if rng.random() < 0.2 else
+                as_evaluation(Fraction(rng.randint(0, 9), rng.randint(1, 6)))),
+                rng.choice(PATTERNS)) for _ in range(rng.randint(0, 12))]
+            rebuilt = reconstruct(iter(terms), m)
+            for x in range(1, m + 1):
+                for y in range(1, m + 1):
+                    # each term read on its pattern's arguments
+                    args = {"xy": (x, y), "yx": (y, x), "xx": (x, x),
+                            "yy": (y, y)}
+                    assert rebuilt.value_at(x, y) == sum(
+                        (t.interval.value_at(*args[t.pattern])
+                         for t in terms), ZERO)
 
     def test_known_eight_term_sum(self):
         # the stock dense example: 9 - xy over 1..3 as eight terms
