@@ -10,8 +10,8 @@ absorbing infinity.
 from .errors import (ApproximationBrokeSubmodularity, DecompositionError,
                      DomainError, GadgetMismatch, IsSubmodular,
                      NotSubmodular, ParameterError, ParseError,
-                     PenaltyError, PreconditionViolated, ScopeError,
-                     ScspError, TooLarge, WrongConstraintKind)
+                     PenaltyError, ScopeError, ScspError, TooLarge,
+                     WrongConstraintKind)
 from .evaluation import INF, ZERO, Evaluation, as_evaluation
 from .fileformat import format_instance, parse_instance
 from .functions import (BinaryTable, IntervalFunction, UnaryTable, abs_diff,
@@ -28,10 +28,8 @@ from .solver import (GadgetResult, Solution, brute_force,
                      xor_gadget)
 from .submodular import (PATTERNS, Decomposition, IntervalTerm,
                          SubmodularityWitness, decompose_binary,
-                         decompose_unary, find_kary_violation,
-                         find_violation, find_violation_full, is_submodular,
-                         reconstruct, strip_inconsistent, strip_penalized,
-                         term_table, tightness)
+                         decompose_unary, find_violation, find_violation_full,
+                         is_submodular, reconstruct, term_table)
 
 __version__ = "0.1.0"
 
@@ -41,19 +39,16 @@ __all__ = [
     "Evaluation", "FlowEdge", "FlowNetwork", "GadgetMismatch",
     "GadgetResult", "INF", "Instance", "IntervalFunction", "IntervalTerm",
     "IsSubmodular", "NotSubmodular", "PATTERNS", "ParameterError",
-    "ParseError", "PenaltyError",
-    "PreconditionViolated", "SINK", "SOURCE", "ScopeError", "ScspError",
-    "SoftConstraint", "Solution", "SubmodularityWitness", "TooLarge",
-    "UnaryTable", "WrongConstraintKind", "ZERO", "abs_diff",
+    "ParseError", "PenaltyError", "SINK", "SOURCE", "ScopeError",
+    "ScspError", "SoftConstraint", "Solution", "SubmodularityWitness",
+    "TooLarge", "UnaryTable", "WrongConstraintKind", "ZERO", "abs_diff",
     "arith_relation", "as_evaluation", "brute_force", "build_network",
     "centered_square", "check_assignment", "compile_to_intervals",
-    "crisp_relation",
-    "cut_from_assignment", "decompose_binary", "decompose_unary", "delay",
-    "equality_penalty", "euclidean_rounded", "evaluate", "excess",
-    "expand_constraint", "extract_assignment", "find_kary_violation",
+    "crisp_relation", "cut_from_assignment", "decompose_binary",
+    "decompose_unary", "delay", "equality_penalty", "euclidean_rounded",
+    "evaluate", "excess", "expand_constraint", "extract_assignment",
     "find_violation", "find_violation_full", "format_instance",
     "format_network", "is_submodular", "linear", "min_cut",
-    "parse_instance", "product_complement", "reconstruct",
-    "solve", "strip_inconsistent", "strip_penalized", "term_table",
-    "tightness", "xor_gadget", "xor_penalty",
+    "parse_instance", "product_complement", "reconstruct", "solve",
+    "term_table", "xor_gadget", "xor_penalty",
 ]

@@ -73,7 +73,8 @@ class FlowNetwork:
     ParameterError for a field that is not iterable (or is a str) where a
     tuple is expected, an m that is not a positive integer, repeated
     variables, edge tuples of unequal lengths, a capacity that is not an
-    Evaluation or an id that is not a node's.
+    Evaluation, an id that is not a node's or a constraint index that is
+    neither None nor a non-negative integer.
     """
 
     variables: tuple[str, ...]
@@ -98,6 +99,10 @@ class FlowNetwork:
             i = [isinstance(c, Evaluation) for c in capacities].index(False)
             raise ParameterError(f"edge {i} has capacity {capacities[i]!r}, "
                                  "which is not an Evaluation")
+        for i, k in enumerate(constraints):  # type() also refuses a bool
+            if k is not None and (type(k) is not int or k < 0):
+                raise ParameterError(f"edge {i} has constraint index {k!r}, "
+                                     "neither None nor a non-negative integer")
         # equal ids share one int object, so the engine touches fewer objects
         node = list(range(n)).__getitem__
         try:
@@ -365,6 +370,8 @@ def extract_assignment(network: FlowNetwork, cut: CutResult) -> dict:
     entirely; the value then falls back to M (clamped to at least 1),
     which is as good as any other, the evaluation being infinite.
     """
+    check_type("network", network, FlowNetwork)
+    check_type("cut", cut, CutResult)
     side = cut.source_side
     assignment = {}
     for v in network.variables:
@@ -397,6 +404,7 @@ def cut_from_assignment(network: FlowNetwork, assignment) -> CutResult:
 
 def format_network(network: FlowNetwork) -> str:
     """One line per edge: ``from to capacity tag``."""
+    check_type("network", network, FlowNetwork)
     name = [SOURCE, SINK] + [f"{v}_{d}" for v in network.variables
                              for d in range(network.m + 1)]
     capacities = network.capacities

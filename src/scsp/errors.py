@@ -5,10 +5,6 @@ class ScspError(Exception):
     """Base class for every error raised by this package."""
 
 
-class PreconditionViolated(ScspError):
-    """Subtraction was asked to produce a negative penalty."""
-
-
 class DomainError(ScspError):
     """A domain value lies outside 1..M."""
 
@@ -71,7 +67,9 @@ class CutMismatch(ScspError):
 
 
 class DecompositionError(ScspError):
-    """Internal invariant of the decomposition failed; indicates a bug."""
+    """Internal invariant of the decomposition failed, such as a peel
+    taking more than a cell holds from a table the check passed; indicates
+    a bug."""
 
 
 class ParseError(ScspError):

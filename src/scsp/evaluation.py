@@ -1,11 +1,9 @@
-"""Exact penalty arithmetic: non-negative rationals extended with infinity.
+"""Exact penalties: non-negative rationals extended with infinity.
 
 Penalties aggregate by addition, and ``inf`` is absorbing: ``inf + e = inf``
-and ``inf - e = inf`` for every ``e``, including ``inf - inf = inf``.
-Subtraction of finite values is partial; taking more than is there raises
-:class:`~scsp.errors.PreconditionViolated`.  Values are exact fractions so
-that the repeated subtractions performed during table decomposition never
-drift.
+for every ``e``.  They are totally ordered, with ``inf`` above every finite
+value.  Finite values are exact fractions, so that sums and comparisons
+over a whole instance never drift and an optimum is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
-from .errors import PenaltyError, PreconditionViolated
+from .errors import PenaltyError
 
 
 def frozen_slots(cls):
@@ -90,20 +88,6 @@ class Evaluation:
         if self._value is None or other._value is None:
             return INF
         return Evaluation._make(self._value + other._value)
-
-    def __sub__(self, other):
-        """Partial subtraction: defined only when self >= other.
-
-        The infinite value absorbs: inf - e = inf for every e, so in
-        particular inf - inf = inf.
-        """
-        if not isinstance(other, Evaluation):
-            return NotImplemented
-        if self._value is None:
-            return INF
-        if other._value is None or self._value < other._value:
-            raise PreconditionViolated(f"cannot take {other} from {self}")
-        return Evaluation._make(self._value - other._value)
 
     def __eq__(self, other):
         if not isinstance(other, Evaluation):

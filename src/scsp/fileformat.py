@@ -19,7 +19,7 @@ import re
 
 from .errors import ParameterError, ParseError, PenaltyError
 from .evaluation import Evaluation, as_evaluation
-from .functions import BinaryTable, IntervalFunction, UnaryTable
+from .functions import BinaryTable, IntervalFunction, UnaryTable, check_type
 from .model import Instance, SoftConstraint
 
 _NATURAL = re.compile(r"[0-9]+")
@@ -43,6 +43,7 @@ def _parse_evaluation(token: str, lineno: int) -> Evaluation:
 
 
 def parse_instance(text: str) -> Instance:
+    check_type("text", text, str)
     header_done = False
     m = None
     variables: list[str] = []
@@ -177,6 +178,7 @@ def format_constraint(constraint: SoftConstraint) -> str:
 
 def format_instance(instance: Instance) -> str:
     """Canonical text for an instance; inverse of :func:`parse_instance`."""
+    check_type("instance", instance, Instance)
     for v in instance.variables:
         if not (isinstance(v, str) and v.split() == [v] and "#" not in v):
             raise ParameterError(f"variable name {v!r} cannot round-trip")

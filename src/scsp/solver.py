@@ -116,6 +116,7 @@ def expand_constraint(constraint: SoftConstraint,
     when the rewriting would hold more than ``cutgraph.TERMS_GUARD``
     interval constraints.
     """
+    check_type("constraint", constraint, SoftConstraint)
     return _expand(constraint, index, {}, cutgraph.TERMS_GUARD)
 
 
@@ -214,6 +215,7 @@ def xor_gadget(psi: BinaryTable, epsilon=1) -> GadgetResult:
     GadgetMismatch if the projected penalty fails to reproduce chi (which
     would mean the construction itself is broken).
     """
+    check_type("psi", psi, BinaryTable)
     eps = exact_coefficient("epsilon", epsilon)
     m = psi.m
     if m ** 6 > BRUTE_FORCE_GUARD:

@@ -53,10 +53,10 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import (DecompositionError, DomainError, NotSubmodular,
-                     ParameterError, PreconditionViolated, TooLarge)
-from .evaluation import INF, ZERO, Evaluation, as_evaluation, frozen_slots
-from .functions import (BinaryTable, IntervalFunction, UnaryTable,
-                        check_integer)
+                     ParameterError)
+from .evaluation import INF, ZERO, Evaluation, frozen_slots
+from .functions import (BinaryTable, IntervalFunction, UnaryTable, as_tuple,
+                        check_integer, check_type)
 
 PATTERNS = ("xy", "yx", "xx", "yy")
 
@@ -84,10 +84,6 @@ def _unscaled(v, k) -> Evaluation:
     return Evaluation._make(None if v is None else Fraction(v, k))
 
 
-def _table_from_raw(grid, k) -> BinaryTable:
-    return BinaryTable([[_unscaled(v, k) for v in row] for row in grid])
-
-
 def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
     """A violating quadruple in O(M^2), or None.
 
@@ -108,6 +104,7 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
 
     The scan order is fixed, so the witness is deterministic.
     """
+    check_type("table", table, BinaryTable)
     m = table.m
     raw, _ = _raw_grid(table)
     row_first = [-1] * m
@@ -153,6 +150,7 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
 def find_violation_full(table: BinaryTable) -> SubmodularityWitness | None:
     """Reference check over every quadruple, lexicographic in (u, v, x, y),
     on the unscaled Fraction cells."""
+    check_type("table", table, BinaryTable)
     m = table.m
     raw = [[v._value for v in row] for row in table.rows]
     for u in range(1, m + 1):
@@ -170,44 +168,6 @@ def find_violation_full(table: BinaryTable) -> SubmodularityWitness | None:
 
 def is_submodular(table: BinaryTable) -> bool:
     return find_violation(table) is None
-
-
-def find_kary_violation(values, m: int, k: int):
-    """Submodularity over k-tuples: f(min) + f(max) <= f(a) + f(b).
-
-    ``values`` maps every k-tuple over 1..m to an evaluation.  Returns the
-    lexicographically first violating pair of tuples, or None.  Meant for
-    small tables; enumeration is guarded by m**k <= 10**6.
-    """
-    check_integer("k", k)
-    if k > 3:
-        raise ParameterError(f"k must be 1, 2, or 3, got {k}")
-    check_integer("domain size", m)
-    if m ** k > 10 ** 6:
-        raise TooLarge(f"{m}**{k} tuples exceed the enumeration guard")
-    tuples = list(itertools.product(range(1, m + 1), repeat=k))
-    table = {}
-    for t in tuples:
-        if t not in values:
-            raise ParameterError(f"missing table entry for {t}")
-        table[t] = as_evaluation(values[t])
-    for a in tuples:
-        fa = table[a]
-        for b in tuples:
-            lo = tuple(map(min, a, b))
-            if lo == a or lo == b:
-                continue  # comparable tuples satisfy the inequality trivially
-            hi = tuple(map(max, a, b))
-            if table[lo] + table[hi] > fa + table[b]:
-                return (a, b)
-    return None
-
-
-def tightness(table: UnaryTable | BinaryTable) -> int:
-    """Number of non-zero entries (infinite entries count)."""
-    if isinstance(table, UnaryTable):
-        return sum(1 for v in table.values if v != ZERO)
-    return sum(1 for row in table.rows for v in row if v != ZERO)
 
 
 @frozen_slots
@@ -244,7 +204,10 @@ def reconstruct(terms, m: int) -> BinaryTable:
     denominators, or one count to a second grid of infinite coverage; the
     2-D prefix sums of the two grids are the table, in O(M^2 + terms).
     """
-    terms = tuple(terms)
+    terms = as_tuple("terms", terms)
+    check_integer("m", m)
+    for term in terms:
+        check_type("term", term, IntervalTerm)
     k = lcm(*{t.interval.penalty._value.denominator for t in terms
               if not t.interval.penalty.is_infinite})
     amounts = [[0] * (m + 1) for _ in range(m + 1)]
@@ -288,6 +251,7 @@ def _summed(grid, m):
 
 def decompose_unary(table: UnaryTable) -> tuple[IntervalTerm, ...]:
     """A unary table is a sum of point terms, one per non-zero entry."""
+    check_type("table", table, UnaryTable)
     return tuple(IntervalTerm(IntervalFunction(d, d, v), "xx")
                  for d, v in enumerate(table.values, 1) if v != ZERO)
 
@@ -297,52 +261,23 @@ def decompose_binary(table: BinaryTable) -> Decomposition:
 
     Raises NotSubmodular (with a witness) otherwise.
     """
-    terms, grid, _ = _run_stages(
-        table, (_strip_inconsistent, _strip_penalized, _peel))
-    for row in grid:
-        for v in row:
-            if v != 0:
-                raise DecompositionError("nonzero residual after peeling")
-    return Decomposition(terms, table.m)
-
-
-def strip_inconsistent(table: BinaryTable):
-    """Remove all-infinite rows and columns.
-
-    Returns (terms, residual) with table == sum(terms) + residual and the
-    residual free of inconsistent lines.  Input must be submodular.
-    """
-    terms, grid, k = _run_stages(table, (_strip_inconsistent,))
-    return terms, _table_from_raw(grid, k)
-
-
-def strip_penalized(table: BinaryTable):
-    """Remove all-positive rows and columns by subtracting line minima.
-
-    Returns (terms, residual); the residual has a zero in every row and
-    column.  Input must be submodular and free of inconsistent lines.
-    """
-    terms, grid, k = _run_stages(table, (_strip_penalized,))
-    return terms, _table_from_raw(grid, k)
-
-
-_TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
-
-
-def _run_stages(table, stages):
-    """Check the table, then run each stage over its rows and then over its
-    columns.  Returns the terms, the raw residual grid and its scale."""
     witness = find_violation(table)
     if witness is not None:
         raise NotSubmodular(witness)
     m = table.m
     grid, k = _raw_grid(table)
     terms = []  # (pattern, x_min, y_max, raw penalty)
-    for stage in stages:
+    for stage in (_strip_inconsistent, _strip_penalized, _peel):
         stage(grid, m, terms)
         grid = _on_columns(stage, grid, m, terms)
-    return tuple(IntervalTerm(IntervalFunction(a, b, _unscaled(v, k)), p)
-                 for p, a, b, v in terms), grid, k
+    if any(v != 0 for row in grid for v in row):
+        raise DecompositionError("nonzero residual after peeling")
+    return Decomposition(tuple(
+        IntervalTerm(IntervalFunction(a, b, _unscaled(v, k)), p)
+        for p, a, b, v in terms), m)
+
+
+_TRANSPOSED = {"xy": "yx", "yx": "xy", "xx": "yy", "yy": "xx"}
 
 
 def _on_columns(stage, grid, m, terms):
@@ -426,7 +361,7 @@ def _peel(grid, m, terms):
                 break
             delta = anchor - taken[j + 1]
             if delta < 0:
-                raise PreconditionViolated(
+                raise DecompositionError(
                     "peeled more than a cell holds; input cannot have "
                     "been submodular")
             terms.append(("yx", j + 2, i + 1, delta))
@@ -439,7 +374,7 @@ def _peel(grid, m, terms):
             if v is not None:
                 residual = v - taken[k]
                 if residual < 0:
-                    raise PreconditionViolated(
+                    raise DecompositionError(
                         "peeled more than a cell holds; input cannot have "
                         "been submodular")
                 row[k] = residual

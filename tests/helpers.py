@@ -30,13 +30,6 @@ def bad_values(m: int) -> tuple:
     return (True, 1.5, "1", 0, m + 1)
 
 
-def kary_dict(t: BinaryTable):
-    """Adapt a binary table to the k-tuple checker's mapping."""
-    m = t.m
-    return {(x, y): t.value_at(x, y)
-            for x in range(1, m + 1) for y in range(1, m + 1)}
-
-
 def random_submodular_table(rng: random.Random, m: int, max_terms: int = 6,
                             inf_share: float = 0.15) -> BinaryTable:
     """Sum of random interval terms; submodular by construction."""

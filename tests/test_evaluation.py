@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scsp import (INF, ZERO, Evaluation, PenaltyError, PreconditionViolated,
-                  as_evaluation)
+from scsp import INF, ZERO, Evaluation, PenaltyError, as_evaluation
 
 finite = st.fractions(min_value=0, max_denominator=50).map(as_evaluation)
 evaluations = st.one_of(finite, st.just(INF))
@@ -42,18 +41,6 @@ def test_addition_examples():
     assert INF + as_evaluation(7) == INF
     assert as_evaluation(7) + INF == INF
     assert INF + INF == INF
-
-
-def test_subtraction_examples():
-    assert as_evaluation(7) - as_evaluation(3) == as_evaluation(4)
-    assert as_evaluation(3) - as_evaluation(3) == ZERO
-    # infinity absorbs, including inf - inf
-    assert INF - as_evaluation(100) == INF
-    assert INF - INF == INF
-    with pytest.raises(PreconditionViolated):
-        as_evaluation(3) - as_evaluation(7)
-    with pytest.raises(PreconditionViolated):
-        as_evaluation(3) - INF
 
 
 def test_ordering():
@@ -137,16 +124,6 @@ def test_zero_is_identity(a):
 def test_addition_is_monotone(a, b):
     assert a + b >= a
     assert a + b >= b
-
-
-@given(evaluations, evaluations)
-def test_subtraction_inverts_addition(a, b):
-    # (a + b) - b recovers a whenever everything is finite.
-    total = a + b
-    if a.is_infinite or b.is_infinite:
-        assert total - b == INF
-    else:
-        assert total - b == a
 
 
 @given(evaluations, evaluations)

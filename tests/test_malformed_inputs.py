@@ -1,6 +1,6 @@
-"""Malformed arguments to the public constructors and to solve, evaluate
-and min_cut: every call gives a result or a typed ScspError, never a bare
-TypeError, ValueError, ZeroDivisionError or AttributeError.
+"""Malformed arguments to the public constructors and functions: every
+call gives a result or a typed ScspError, never a bare TypeError,
+ValueError, ZeroDivisionError or AttributeError.
 """
 
 import pytest
@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 
 from scsp import (INF, ZERO, BinaryTable, Evaluation, FlowNetwork, Instance,
                   IntervalFunction, ParameterError, ScspError,
-                  SoftConstraint, UnaryTable, abs_diff, brute_force,
-                  build_network, compile_to_intervals, cut_from_assignment,
-                  evaluate, min_cut, solve)
+                  SoftConstraint, UnaryTable, abs_diff, as_evaluation,
+                  brute_force, build_network, compile_to_intervals,
+                  cut_from_assignment, decompose_binary, decompose_unary,
+                  evaluate, expand_constraint, extract_assignment,
+                  find_violation, find_violation_full, format_instance,
+                  format_network, is_submodular, min_cut, parse_instance,
+                  reconstruct, solve, term_table, xor_gadget)
 
 _INSTANCE = Instance(("a", "b"), 2, (
     SoftConstraint(("a",), UnaryTable([0, 2])),
@@ -19,6 +23,7 @@ _INSTANCE = Instance(("a", "b"), 2, (
     SoftConstraint(("b", "a"), IntervalFunction(2, 1, INF)),
 ))
 _NETWORK = build_network(compile_to_intervals(_INSTANCE))
+_CUT = min_cut(_NETWORK)
 
 # well-formed values, so that a call can get past its first check
 _SHAPED = (ZERO, INF, UnaryTable([1, 0]), abs_diff(2),
@@ -78,6 +83,25 @@ def test_drawn_arguments_give_a_result_or_a_typed_error(call, arity, data):
     (min_cut, (_INSTANCE,)),
     (cut_from_assignment, (_NETWORK, None)),
     (cut_from_assignment, (_INSTANCE, {"a": 1, "b": 1})),
+    (extract_assignment, (None, _CUT)),
+    (extract_assignment, (_NETWORK, None)),
+    (format_network, (None,)),
+    (format_instance, (None,)),
+    (parse_instance, (None,)),
+    (decompose_binary, (None,)),
+    (decompose_unary, (None,)),
+    (find_violation, (None,)),
+    (find_violation_full, (None,)),
+    (is_submodular, (None,)),
+    (reconstruct, (None, 2)),
+    (reconstruct, ((), None)),
+    (reconstruct, ((None,), 2)),
+    (term_table, (None, 2)),
+    (expand_constraint, (None,)),
+    (xor_gadget, (None,)),
+    (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), ("x",))),
+    (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), (True,))),
+    (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), (-1,))),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_malformed_structures_raise_parameter_error(call, args):
     with pytest.raises(ParameterError):

@@ -63,6 +63,23 @@ def literal_int_memberships(tree):
                     for e in right.elts)]
 
 
+def unmatched_exports(tree):
+    """Names that ``__all__`` repeats or lists without importing them, and
+    imports it leaves out: the package exports exactly what it imports,
+    so removing a name cannot leave a stale or a silent export."""
+    imported = {alias.asname or alias.name: node.lineno
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    listed = [element for node in ast.walk(tree)
+              if isinstance(node, ast.Assign)
+              and any(_named(t) == "__all__" for t in node.targets)
+              for element in node.value.elts]
+    names = [element.value for element in listed]
+    return ([e.lineno for e in listed
+             if e.value not in imported or names.count(e.value) > 1]
+            + [line for name, line in imported.items() if name not in names])
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
@@ -82,6 +99,10 @@ def test_cli_imports_public_names_only():
     assert private_imports(parse(LIBRARY / "cli.py")) == []
 
 
+def test_package_exports_what_it_imports():
+    assert unmatched_exports(parse(LIBRARY / "__init__.py")) == []
+
+
 @pytest.mark.parametrize("rule, source", [
     (asserts, "def f(x):\n    assert x\n"),
     (unslotted_dataclasses, "@dataclass(frozen=True)\nclass A:\n    x: int\n"),
@@ -89,6 +110,9 @@ def test_cli_imports_public_names_only():
     (private_imports, "from .solver import _key, solve\n"),
     (private_imports, "import scsp._internal\n"),
     (literal_int_memberships, "if k not in (1, 2, 3):\n    pass\n"),
+    (unmatched_exports, "from .a import b, c\n__all__ = ['b']\n"),
+    (unmatched_exports, "from .a import b\n__all__ = ['b', 'c']\n"),
+    (unmatched_exports, "from .a import b\n__all__ = ['b', 'b']\n"),
 ])
 def test_each_rule_fires_on_a_breach(rule, source):
     assert rule(ast.parse(source)) != []

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,15 +5,12 @@ import pytest
 
 from scsp import (INF, PATTERNS, ZERO, Decomposition, DomainError,
                   IntervalFunction, IntervalTerm, NotSubmodular,
-                  ParameterError, SubmodularityWitness, TooLarge, abs_diff,
+                  ParameterError, SubmodularityWitness, abs_diff,
                   arith_relation, as_evaluation, decompose_binary,
-                  decompose_unary, delay, equality_penalty,
-                  find_kary_violation, find_violation, find_violation_full,
-                  is_submodular, product_complement, reconstruct,
-                  strip_inconsistent, strip_penalized, term_table,
-                  tightness, xor_penalty)
-from helpers import (kary_dict, perturb_entry, random_submodular_table, table,
-                     unary)
+                  decompose_unary, delay, equality_penalty, find_violation,
+                  find_violation_full, is_submodular, product_complement,
+                  reconstruct, term_table, xor_penalty)
+from helpers import perturb_entry, random_submodular_table, table, unary
 from scsp.errors import DecompositionError
 from scsp.submodular import _peel
 
@@ -133,62 +129,6 @@ class TestViolationSearch:
             SubmodularityWitness(1, 1, 2, 2)
 
 
-class TestKaryCheck:
-    def test_unary_is_always_submodular(self):
-        assert find_kary_violation({(1,): 5, (2,): 0, (3,): 7}, 3, 1) is None
-
-    def test_binary_agrees_with_table_check(self):
-        rng = random.Random(55)
-        for _ in range(60):
-            m = rng.randint(1, 4)
-            t = random_submodular_table(rng, m)
-            if rng.random() < 0.5:
-                t = perturb_entry(rng, t)
-            pair = find_kary_violation(kary_dict(t), m, 2)
-            assert (pair is None) == (find_violation_full(t) is None)
-            if pair is not None:
-                a, b = pair
-                lo = tuple(map(min, a, b))
-                hi = tuple(map(max, a, b))
-                assert kary_dict(t)[lo] + kary_dict(t)[hi] > \
-                    kary_dict(t)[a] + kary_dict(t)[b]
-
-    def test_ternary_example(self):
-        values = {t: 0 for t in itertools.product((1, 2), repeat=3)}
-        values[(1, 1, 1)] = 1
-        values[(2, 2, 2)] = 1
-        pair = find_kary_violation(values, 2, 3)
-        # independent enumeration of every violating pair, lex order
-        def violates(a, b):
-            lo = tuple(map(min, a, b))
-            hi = tuple(map(max, a, b))
-            if lo == a or lo == b:
-                return False
-            return values[lo] + values[hi] > values[a] + values[b]
-        tuples = sorted(itertools.product((1, 2), repeat=3))
-        expected = min((a, b) for a in tuples for b in tuples if violates(a, b))
-        assert pair == expected == ((1, 1, 2), (1, 2, 1))
-
-    def test_parameter_checks(self):
-        for k in (True, 1.0, 4, 0):
-            with pytest.raises(ParameterError):
-                find_kary_violation({(1,): 0, (2,): 0}, 2, k)
-        with pytest.raises(ParameterError):
-            find_kary_violation({}, 0, 2)
-        with pytest.raises(TooLarge):
-            find_kary_violation({}, 101, 3)
-        with pytest.raises(ParameterError):
-            find_kary_violation({(1,): 0}, 2, 1)  # (2,) missing
-
-
-class TestTightness:
-    def test_counts(self):
-        assert tightness(table([[0, 0], [0, 0]])) == 0
-        assert tightness(product_complement(3)) == 8
-        assert tightness(table([[None, None], [None, None]])) == 4
-        assert tightness(unary([0, "1/2", None])) == 2
-
-
 class TestTermsAndReconstruct:
     def test_pattern_validation(self):
         with pytest.raises(ParameterError):
@@ -248,100 +188,6 @@ class TestTermsAndReconstruct:
             IntervalTerm(IntervalFunction(3, 1, 1), "xy"),
         )
         assert reconstruct(terms, 3) == product_complement(3)
-
-
-class TestStripInconsistent:
-    def test_infinite_row_is_replaced_by_neighbour(self):
-        t = table([[None, None], [0, 1]])
-        terms, residual = strip_inconsistent(t)
-        assert [(term.pattern, term.interval.x_min, term.interval.y_max)
-                for term in terms] == [("xx", 1, 1)]
-        assert terms[0].interval.penalty == INF
-        assert residual == table([[0, 1], [0, 1]])
-
-    def test_infinite_column_gets_yy_term(self):
-        t = table([[0, None], [1, None]])
-        terms, residual = strip_inconsistent(t)
-        assert [(term.pattern, term.interval.x_min) for term in terms] == \
-            [("yy", 2)]
-        assert residual == table([[0, 0], [1, 1]])
-
-    def test_all_infinite_table(self):
-        terms, residual = strip_inconsistent(table([[None, None],
-                                                    [None, None]]))
-        assert len(terms) == 1
-        term = terms[0]
-        assert term.pattern == "xy"
-        assert (term.interval.x_min, term.interval.y_max) == (1, 2)
-        assert term.interval.penalty == INF
-        assert residual == table([[0, 0], [0, 0]])
-
-    def test_no_op_without_infinite_lines(self):
-        t = table([[0, None], [0, 0]])  # inf entry but no full line
-        terms, residual = strip_inconsistent(t)
-        assert terms == ()
-        assert residual == t
-
-    def test_sum_property_on_random_tables(self):
-        rng = random.Random(13)
-        checked = 0
-        for _ in range(150):
-            m = rng.randint(1, 6)
-            t = random_submodular_table(rng, m, inf_share=0.35)
-            terms, residual = strip_inconsistent(t)
-            assert reconstruct(terms, m) + residual == t
-            assert is_submodular(residual)
-            for i in range(1, m + 1):
-                assert any(not residual.value_at(i, j).is_infinite
-                           for j in range(1, m + 1))
-                assert any(not residual.value_at(j, i).is_infinite
-                           for j in range(1, m + 1))
-            checked += bool(terms)
-        assert checked > 20
-
-    def test_requires_submodular_input(self):
-        with pytest.raises(NotSubmodular):
-            strip_inconsistent(xor_penalty())
-
-
-class TestStripPenalized:
-    def test_constant_table(self):
-        terms, residual = strip_penalized(table([[5, 5], [5, 5]]))
-        assert [(term.pattern, term.interval.x_min,
-                 str(term.interval.penalty)) for term in terms] == \
-            [("xx", 1, "5"), ("xx", 2, "5")]
-        assert residual == table([[0, 0], [0, 0]])
-
-    def test_no_op_when_zeros_everywhere(self):
-        t = table([[0, 1], [1, 0]])
-        terms, residual = strip_penalized(t)
-        assert terms == ()
-        assert residual == t
-
-    def test_dense_example_minima(self):
-        terms, residual = strip_penalized(product_complement(3))
-        assert sorted((term.pattern, term.interval.x_min,
-                       str(term.interval.penalty)) for term in terms) == \
-            [("xx", 1, "6"), ("xx", 2, "3"), ("yy", 1, "2"), ("yy", 2, "1")]
-        assert residual == table([[0, 0, 0], [2, 1, 0], [4, 2, 0]])
-        for i in range(1, 4):
-            assert any(residual.value_at(i, j).is_zero for j in range(1, 4))
-            assert any(residual.value_at(j, i).is_zero for j in range(1, 4))
-
-    def test_sum_property_on_random_tables(self):
-        rng = random.Random(14)
-        for _ in range(150):
-            m = rng.randint(1, 6)
-            t = random_submodular_table(rng, m)
-            no_inf_lines, partial = strip_inconsistent(t)
-            terms, residual = strip_penalized(partial)
-            assert reconstruct(terms, m) + residual == partial
-            assert is_submodular(residual)
-            for i in range(1, m + 1):
-                assert any(residual.value_at(i, j).is_zero
-                           for j in range(1, m + 1))
-                assert any(residual.value_at(j, i).is_zero
-                           for j in range(1, m + 1))
 
 
 class TestDecomposeUnary:
@@ -424,7 +270,7 @@ class TestDecomposeBinary:
             for term in d.terms:
                 tab = term_table(term, m)
                 assert is_submodular(tab)
-                assert find_kary_violation(kary_dict(tab), m, 2) is None
+                assert find_violation_full(tab) is None
 
     @pytest.mark.parametrize("t, expected", [
         (product_complement(3), [
@@ -454,8 +300,19 @@ class TestDecomposeBinary:
             ("yy", 4, 4, "inf"), ("yy", 2, 2, "1"), ("yy", 3, 3, "2"),
             ("yy", 4, 4, "2"),
         ]),
+        # the infinite row is overwritten by the consistent row below it
+        (table([[None, None], [0, 1]]), [("xx", 1, 1, "inf"),
+                                         ("yy", 2, 2, "1")]),
+        (table([[0, None], [1, None]]), [("yy", 2, 2, "inf"),
+                                         ("xx", 2, 2, "1")]),
+        # one blanket term covers an all-infinite table
+        (table([[None, None], [None, None]]), [("xy", 1, 2, "inf")]),
+        # an infinite cell on no infinite line is left to the peel
+        (table([[0, None], [0, 0]]), [("yx", 2, 1, "inf")]),
+        (table([[5, 5], [5, 5]]), [("xx", 1, 1, "5"), ("xx", 2, 2, "5")]),
     ], ids=["product_complement", "delay", "infinite_row_and_column",
-            "infinite_row_blocks"])
+            "infinite_row_blocks", "infinite_row", "infinite_column",
+            "all_infinite", "infinite_cell", "constant"])
     def test_emitted_term_order(self, t, expected):
         got = [(term.pattern, term.interval.x_min, term.interval.y_max,
                 str(term.interval.penalty))
@@ -480,6 +337,16 @@ class TestDecomposeBinary:
         grid = [[Fraction(0), Fraction(5)], [Fraction(0), None]]
         with pytest.raises(DecompositionError, match="finite cell"):
             _peel(grid, 2, [])
+
+    @pytest.mark.parametrize("grid", [
+        [[0, 1], [0, 2]],  # the next anchor holds less
+        [[0, 1, 2], [0, 2, 2], [0, 2, 2]],  # a finished row's cell holds less
+    ], ids=["anchor", "finished_row"])
+    def test_peel_taking_more_than_a_cell_holds(self, grid):
+        # Not submodular, so only a direct call reaches the peel: the bottom
+        # row's term takes 2 from column 2 onward in every row above it.
+        with pytest.raises(DecompositionError, match="peeled more than"):
+            _peel(grid, len(grid), [])
 
     def test_remaining_terms_sum_to_submodular_tables(self):
         # After each emitted term, the residual left to decompose is the
