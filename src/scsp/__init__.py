@@ -10,8 +10,7 @@ absorbing infinity.
 from .errors import (ApproximationBrokeSubmodularity, DecompositionError,
                      DomainError, GadgetMismatch, IsSubmodular,
                      NotSubmodular, ParameterError, ParseError,
-                     PenaltyError, ScopeError, ScspError, TooLarge,
-                     WrongConstraintKind)
+                     PenaltyError, ScopeError, ScspError, TooLarge)
 from .evaluation import INF, ZERO, Evaluation, as_evaluation
 from .fileformat import format_instance, parse_instance
 from .functions import (BinaryTable, IntervalFunction, UnaryTable, abs_diff,
@@ -19,11 +18,11 @@ from .functions import (BinaryTable, IntervalFunction, UnaryTable, abs_diff,
                         delay, equality_penalty, euclidean_rounded, excess,
                         linear, product_complement, xor_penalty)
 from .cutgraph import (SINK, SOURCE, CutResult, FlowEdge, FlowNetwork,
-                       build_network, cut_from_assignment,
-                       extract_assignment, format_network, min_cut)
+                       cut_from_assignment, extract_assignment,
+                       format_network, min_cut)
 from .model import (Assignment, Instance, SoftConstraint, check_assignment,
                     evaluate)
-from .solver import (GadgetResult, Solution, brute_force,
+from .solver import (GadgetResult, Solution, brute_force, build_network,
                      compile_to_intervals, expand_constraint, solve,
                      xor_gadget)
 from .submodular import (PATTERNS, Decomposition, IntervalTerm,
@@ -41,7 +40,7 @@ __all__ = [
     "IsSubmodular", "NotSubmodular", "PATTERNS", "ParameterError",
     "ParseError", "PenaltyError", "SINK", "SOURCE", "ScopeError",
     "ScspError", "SoftConstraint", "Solution", "SubmodularityWitness",
-    "TooLarge", "UnaryTable", "WrongConstraintKind", "ZERO", "abs_diff",
+    "TooLarge", "UnaryTable", "ZERO", "abs_diff",
     "arith_relation", "as_evaluation", "brute_force", "build_network",
     "centered_square", "check_assignment", "compile_to_intervals",
     "crisp_relation", "cut_from_assignment", "decompose_binary",

@@ -1,11 +1,16 @@
-"""Reduction of interval-constraint instances to minimum weighted cut.
+"""The level-chain flow network, its exact minimum cut, and the
+correspondence between cuts and assignments.
 
 Each variable v becomes a chain of level nodes (v, 0) .. (v, M).  A cut
 separating the source from the sink must, for each variable, sever the
 chain at exactly one level when finite, and the lowest severed level reads
-off the variable's value.  A constraint <(v, w), f> with penalty p adds an
-edge from (w, f.y_max) to (v, f.x_min - 1) of capacity p: the edge crosses
-the cut exactly when the assignment pays p.
+off the variable's value.  An interval constraint <(v, w), f> with penalty
+p is an edge from (w, f.y_max) to (v, f.x_min - 1) of capacity p: the edge
+crosses the cut exactly when the assignment pays p.
+``solver.build_network`` puts one such edge on the network for each
+interval constraint and each interval term of a decomposed table; it
+lives beside the solver's decomposition memo, which this module does not
+import.
 
 The node set depends on the variables alone, so every node has an integer
 id before any constraint is read: S is 0, T is 1, and (v, d) for the i-th
@@ -30,16 +35,16 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 
-from .errors import CutMismatch, ParameterError, TooLarge, WrongConstraintKind
+from .errors import CutMismatch, ParameterError, TooLarge
 from .evaluation import INF, ZERO, Evaluation, frozen_slots
-from .functions import IntervalFunction, as_tuple, check_integer, check_type
+from .functions import as_tuple, check_integer, check_type
 from .model import Instance, check_assignment, name_set
 
 SOURCE = "S"
 SINK = "T"
 
-NETWORK_GUARD = 10 ** 6  # most level nodes build_network will allocate
-TERMS_GUARD = 10 ** 6  # most interval constraints compile will route
+NETWORK_GUARD = 10 ** 6  # most level nodes a network may have
+TERMS_GUARD = 10 ** 6  # most interval constraints an instance compiles to
 
 
 @frozen_slots
@@ -144,45 +149,15 @@ class CutResult:
     source_side: frozenset
     cut_edges: tuple[int, ...]
 
-
-def build_network(instance: Instance) -> FlowNetwork:
-    """Translate an interval-constraint instance into its flow network.
-
-    Zero-penalty constraints contribute no edge; parallel edges from
-    duplicate constraints are kept separate.  Raises TooLarge, before
-    allocating anything, when there would be more than NETWORK_GUARD level
-    nodes.
-    """
-    check_type("instance", instance, Instance)
-    m = instance.domain_size
-    variables = instance.variables
-    # every id is taken from this list, so the arcs share its int objects
-    node = list(range(2 + _level_nodes(variables, m)))
-    # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
-    tails, heads = [], []
-    level0 = {}  # variable -> the id of its level 0
-    for i, v in enumerate(variables):
-        base = level0[v] = 2 + i * (m + 1)
-        tails += node[0], node[base]
-        tails += node[base:base + m]
-        heads += node[base + m], node[1]
-        heads += node[base + 1:base + m + 1]
-    capacities = [INF] * len(tails)
-    constraints = [None] * len(tails)
-    for index, c in enumerate(instance.constraints):
-        f = c.function
-        if not isinstance(f, IntervalFunction):
-            raise WrongConstraintKind(
-                f"constraint {index} is a {type(f).__name__}; "
-                "decompose tables before building the network")
-        if f.penalty.is_zero:
-            continue
-        v, w = c.scope
-        tails.append(node[level0[w] + f.y_max])
-        heads.append(node[level0[v] + f.x_min - 1])
-        capacities.append(f.penalty)
-        constraints.append(index)
-    return FlowNetwork(variables, m, tails, heads, capacities, constraints)
+    def __post_init__(self):
+        check_type("value", self.value, Evaluation)
+        check_type("source side", self.source_side, frozenset)
+        cut_edges = as_tuple("cut edges", self.cut_edges)
+        for i in cut_edges:  # type() also refuses a bool
+            if type(i) is not int or i < 0:
+                raise ParameterError(f"cut edge {i!r} is not a "
+                                     "non-negative integer")
+        object.__setattr__(self, "cut_edges", cut_edges)
 
 
 def min_cut(network: FlowNetwork) -> CutResult:

@@ -56,10 +56,6 @@ class TooLarge(ScspError):
     much memory."""
 
 
-class WrongConstraintKind(ScspError):
-    """The flow network accepts interval-function constraints only."""
-
-
 class CutMismatch(ScspError):
     """A minimum cut failed its optimality certificate, or its weight
     differs from the evaluation of the assignment read off it; indicates a

@@ -13,6 +13,7 @@ import numbers
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PenaltyError
@@ -108,7 +109,12 @@ class Evaluation:
         return sys.hash_info.inf if self._value is None else hash(self._value)
 
     def __str__(self):
-        return "inf" if self._value is None else str(self._value)
+        v = self._value
+        if v is None:
+            return "inf"
+        if v.denominator == 1:
+            return _digits(v.numerator)
+        return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
 
     def __repr__(self):
         return f"Evaluation({self})"
@@ -116,6 +122,17 @@ class Evaluation:
 
 INF = Evaluation._make(None)
 ZERO = Evaluation._make(Fraction(0))
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of a non-negative int.  ``str`` refuses an int of
+    more than ``sys.get_int_max_str_digits()`` digits, which a sum of
+    accepted penalties can reach; ``Decimal`` converts it exactly, with
+    no global setting changed."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # the file format's penalty token, in ASCII digits

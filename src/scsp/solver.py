@@ -1,5 +1,12 @@
 """End-to-end solving: decompose tables, cut the network, read the answer.
 
+:func:`build_network` checks and decomposes each distinct table once and
+routes its terms straight into the network's numbered edges, so
+:func:`solve` builds no compiled instance on its way to the cut.
+:func:`compile_to_intervals` and :func:`expansions` take the same memo,
+numbering and guards to an instance of interval constraints instead, for
+``scsp decompose`` and for callers that want the rewritten instance.
+
 :func:`solve` is exact and deterministic: the same instance always yields
 the same optimal assignment.  :func:`brute_force` enumerates assignments
 in lexicographic variable order and serves as the independent oracle.
@@ -17,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import cutgraph
-from .cutgraph import FlowNetwork, build_network, extract_assignment, min_cut
+from .cutgraph import FlowNetwork, _level_nodes, extract_assignment, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
                      NotSubmodular, TooLarge)
 from .evaluation import INF, ZERO, Evaluation, exact_coefficient, frozen_slots
@@ -74,29 +81,43 @@ def _terms(f, repeated: bool) -> tuple:
     return decompose_binary(f).terms
 
 
+def _decomposed(memo: dict, f, repeated: bool, index: int | None, form):
+    """``form`` of the table's terms (see :func:`_terms`), kept in ``memo``
+    under the table and whether its scope repeats a variable: a table seen
+    before is neither checked nor decomposed again.  NotSubmodular is
+    tagged with ``index``, the constraint that holds the table."""
+    key = f, repeated
+    done = memo.get(key)
+    if done is None:
+        try:
+            terms = _terms(f, repeated)
+        except NotSubmodular as err:
+            raise NotSubmodular(err.witness, constraint_index=index) from None
+        done = memo[key] = form(terms)
+    return done
+
+
+def _too_large(index: int | None) -> TooLarge:
+    """The refusal of constraint ``index``, whose interval constraints
+    would take the compiled instance past ``cutgraph.TERMS_GUARD``."""
+    return TooLarge(f"constraint {index} takes the compiled instance "
+                    f"past {cutgraph.TERMS_GUARD} interval constraints")
+
+
 def _expand(constraint: SoftConstraint, index: int | None,
             memo: dict, room: int) -> tuple[SoftConstraint, ...]:
     """:func:`expand_constraint`, with each table's terms kept in ``memo``
-    under the table and whether the scope repeats a variable: a table seen
-    before is neither checked nor decomposed again, only routed onto this
-    constraint's scope.  Raises TooLarge, before routing, when the
+    (see :func:`_decomposed`): a table seen before is only routed onto
+    this constraint's scope.  Raises TooLarge, before routing, when the
     constraint would yield more than ``room`` interval constraints."""
     f = constraint.function
     v, w = constraint.scope[0], constraint.scope[-1]
     if isinstance(f, IntervalFunction):
         terms = () if f.penalty.is_zero else (constraint,)
-    else:
-        key = f, v == w
-        terms = memo.get(key)
-        if terms is None:
-            try:
-                terms = memo[key] = _terms(f, v == w)
-            except NotSubmodular as err:
-                raise NotSubmodular(err.witness,
-                                    constraint_index=index) from None
+    else:  # tuple() of the terms' tuple is that tuple
+        terms = _decomposed(memo, f, v == w, index, tuple)
     if len(terms) > room:
-        raise TooLarge(f"constraint {index} takes the compiled instance "
-                       f"past {cutgraph.TERMS_GUARD} interval constraints")
+        raise _too_large(index)
     if isinstance(f, IntervalFunction):
         return terms
     # "xy" on (v, w), "xx" on (v, v), and the "y" patterns the same with v
@@ -150,10 +171,86 @@ def compile_to_intervals(instance: Instance) -> Instance:
     return Instance(instance.variables, instance.domain_size, constraints)
 
 
+# the variable a term's argument reads: 0 for v, 1 for w of scope (v, w)
+_END = {"x": 0, "y": 1}
+
+
+def _route(terms) -> tuple:
+    """A table's terms as arcs over any scope (v, w): per term, where its
+    tail and its head lie, each as (0 for v or 1 for w, the level above
+    that variable's level 0); and the terms' penalties."""
+    tails = tuple((_END[t.pattern[1]], t.interval.y_max) for t in terms)
+    heads = tuple((_END[t.pattern[0]], t.interval.x_min - 1) for t in terms)
+    return tails, heads, tuple(t.interval.penalty for t in terms)
+
+
+def build_network(instance: Instance) -> FlowNetwork:
+    """The flow network of an instance, with no compiled instance between.
+
+    Each interval constraint <(v, w), f> is an edge from (w, f.y_max) to
+    (v, f.x_min - 1); each table constraint is checked and decomposed as
+    :func:`expansions` does, once per distinct table and kind of scope,
+    and each of its terms is such an edge, routed onto the constraint's
+    scope.  Edges are numbered as the constraints of
+    ``compile_to_intervals(instance)``, so the network equals
+    ``build_network(compile_to_intervals(instance))``: a zero-penalty
+    interval constraint takes no number and adds no edge, and parallel
+    edges from duplicate constraints are kept separate.
+
+    Raises TooLarge, before allocating anything, past
+    ``cutgraph.NETWORK_GUARD`` level nodes; then NotSubmodular and TooLarge
+    as :func:`compile_to_intervals` does.
+    """
+    check_type("instance", instance, Instance)
+    m = instance.domain_size
+    variables = instance.variables
+    # every id is taken from this list, so the edges share its int objects
+    node = list(range(2 + _level_nodes(variables, m)))
+    # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
+    tails, heads = [], []
+    level0 = {}  # variable -> the id of its level 0
+    for i, v in enumerate(variables):
+        base = level0[v] = 2 + i * (m + 1)
+        tails += node[0], node[base]
+        tails += node[base:base + m]
+        heads += node[base + m], node[1]
+        heads += node[base + 1:base + m + 1]
+    capacities = [INF] * len(tails)
+    constraints = [None] * len(tails)
+    memo: dict = {}
+    guard = cutgraph.TERMS_GUARD
+    routed = 0  # the next compiled constraint's number
+    for index, c in enumerate(instance.constraints):
+        f = c.function
+        if isinstance(f, IntervalFunction):
+            if f.penalty.is_zero:
+                continue
+            if routed >= guard:
+                raise _too_large(index)
+            v, w = c.scope
+            tails.append(node[level0[w] + f.y_max])
+            heads.append(node[level0[v] + f.x_min - 1])
+            capacities.append(f.penalty)
+            constraints.append(routed)
+            routed += 1
+            continue
+        v, w = c.scope[0], c.scope[-1]
+        route_tails, route_heads, penalties = _decomposed(
+            memo, f, v == w, index, _route)
+        if len(penalties) > guard - routed:
+            raise _too_large(index)
+        ends = level0[v], level0[w]
+        tails += [node[ends[s] + d] for s, d in route_tails]
+        heads += [node[ends[s] + d] for s, d in route_heads]
+        capacities += penalties
+        constraints += range(routed, routed + len(penalties))
+        routed += len(penalties)
+    return FlowNetwork(variables, m, tails, heads, capacities, constraints)
+
+
 def solve(instance: Instance) -> Solution:
     """An assignment of minimum evaluation, found through a minimum cut."""
-    compiled = compile_to_intervals(instance)
-    network = build_network(compiled)
+    network = build_network(instance)
     cut = min_cut(network)
     assignment = extract_assignment(network, cut)
     value = evaluate(instance, assignment)

@@ -180,6 +180,7 @@ class IntervalTerm:
     pattern: str
 
     def __post_init__(self):
+        check_type("interval", self.interval, IntervalFunction)
         if self.pattern not in PATTERNS:
             raise ParameterError(f"pattern must be one of {PATTERNS}")
 
@@ -187,8 +188,18 @@ class IntervalTerm:
 @frozen_slots
 @dataclass(frozen=True, slots=True)
 class Decomposition:
+    """A table's interval terms, in the order they were emitted, and the
+    table's domain size."""
+
     terms: tuple[IntervalTerm, ...]
     m: int
+
+    def __post_init__(self):
+        terms = as_tuple("terms", self.terms)
+        for term in terms:
+            check_type("term", term, IntervalTerm)
+        check_integer("m", self.m)
+        object.__setattr__(self, "terms", terms)
 
 
 def term_table(term: IntervalTerm, m: int) -> BinaryTable:

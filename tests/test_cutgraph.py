@@ -23,7 +23,7 @@ from scsp import (INF, ZERO, SINK, SOURCE, FlowEdge, FlowNetwork, Instance,
 from scsp import cutgraph
 from scsp.cutgraph import NETWORK_GUARD
 from scsp.errors import (CutMismatch, DomainError, ParameterError, ScopeError,
-                         TooLarge, WrongConstraintKind)
+                         TooLarge)
 
 
 def networkx_cut(network, flow_func=None):
@@ -92,15 +92,27 @@ class TestBuildNetwork:
         net = build_network(inst)
         tagged = [e.constraint_index for e in net.edges
                   if e.constraint_index is not None]
-        # parallel edges from duplicate constraints stay separate
-        assert tagged == [1, 2]
+        # edges are numbered as the compiled instance's constraints, where
+        # the zero-penalty one is dropped; parallel edges from duplicate
+        # constraints stay separate
+        assert tagged == [0, 1]
+        assert net == build_network(compile_to_intervals(inst))
 
-    def test_rejects_table_constraints(self):
-        from scsp import xor_penalty
-        inst = Instance(("p", "q"), 2,
-                        (SoftConstraint(("p", "q"), xor_penalty()),))
-        with pytest.raises(WrongConstraintKind):
-            build_network(inst)
+    def test_table_instance_builds_its_compiled_network(self):
+        # xor_penalty is not submodular, but a repeated scope reads only
+        # its diagonal
+        from scsp import abs_diff, xor_penalty
+        inst = Instance(("p", "q"), 2, (
+            SoftConstraint(("p", "q"), abs_diff(2)),
+            SoftConstraint(("q", "q"), xor_penalty()),
+            SoftConstraint(("p",), unary([0, 3])),
+            SoftConstraint(("q", "p"), abs_diff(2)),
+        ))
+        net = build_network(inst)
+        assert net == build_network(compile_to_intervals(inst))
+        tagged = [k for k in net.constraint_indices if k is not None]
+        assert tagged == list(range(len(compile_to_intervals(inst)
+                                        .constraints)))
 
     def test_guard_refuses_oversized_networks(self):
         # one variable at domain NETWORK_GUARD needs NETWORK_GUARD + 1 nodes

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scsp import INF, ZERO, Evaluation, PenaltyError, as_evaluation
+from scsp import (INF, ZERO, Evaluation, FlowNetwork, PenaltyError,
+                  as_evaluation, format_network)
 
 finite = st.fractions(min_value=0, max_denominator=50).map(as_evaluation)
 evaluations = st.one_of(finite, st.just(INF))
@@ -58,6 +59,22 @@ def test_str_and_round_trip():
     assert str(INF) == "inf"
     for text in ("5", "11/4", "inf", "0"):
         assert str(as_evaluation(text)) == text
+
+
+def test_prints_more_digits_than_str_of_an_int_allows():
+    # str(int) refuses past sys.get_int_max_str_digits() (4,300 by
+    # default); a sum of accepted penalties can pass it too
+    big = 10 ** 5000 + 7
+    digits = "1" + "0" * 4997 + "007"
+    assert str(as_evaluation(big)) == digits
+    assert repr(as_evaluation(big)) == f"Evaluation({digits})"
+    assert str(as_evaluation(Fraction(3, big))) == f"3/{digits}"
+    assert str(as_evaluation(10 ** 4999) + as_evaluation(9 * 10 ** 4999)) == (
+        "1" + "0" * 5000)
+    net = FlowNetwork(("a",), 1, (2,), (3,), (as_evaluation(big),), (0,))
+    assert format_network(net) == f"a_0 a_1 {digits} constraint:0\n"
+    # as error messages echo a value
+    assert f"{as_evaluation(big)}" == digits
 
 
 def test_as_evaluation_coercions():

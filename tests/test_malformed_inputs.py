@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scsp import (INF, ZERO, BinaryTable, Evaluation, FlowNetwork, Instance,
-                  IntervalFunction, ParameterError, ScspError,
+from scsp import (INF, ZERO, BinaryTable, CutResult, Decomposition,
+                  Evaluation, FlowNetwork, Instance, IntervalFunction,
+                  IntervalTerm, ParameterError, ScspError,
                   SoftConstraint, UnaryTable, abs_diff, as_evaluation,
                   brute_force, build_network, compile_to_intervals,
                   cut_from_assignment, decompose_binary, decompose_unary,
@@ -46,7 +47,8 @@ values = st.recursive(_leaves, lambda inner: st.one_of(
 
 CALLS = [(Evaluation, 1), (UnaryTable, 1), (BinaryTable, 1),
          (IntervalFunction, 3), (SoftConstraint, 2), (Instance, 3),
-         (FlowNetwork, 6), (solve, 1), (evaluate, 2), (min_cut, 1)]
+         (FlowNetwork, 6), (solve, 1), (evaluate, 2), (min_cut, 1),
+         (IntervalTerm, 2), (Decomposition, 2), (CutResult, 3)]
 
 
 @pytest.mark.parametrize("call, arity", CALLS,
@@ -102,6 +104,16 @@ def test_drawn_arguments_give_a_result_or_a_typed_error(call, arity, data):
     (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), ("x",))),
     (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), (True,))),
     (FlowNetwork, (("a",), 1, (0,), (1,), (as_evaluation(2),), (-1,))),
+    (IntervalTerm, (None, "xy")),
+    (Decomposition, (None, None)),
+    (Decomposition, ((None,), 2)),
+    (Decomposition, ((), 0)),
+    (CutResult, (None, None, None)),
+    (CutResult, (ZERO, None, ())),
+    (CutResult, (ZERO, {"S"}, ())),
+    (CutResult, (ZERO, frozenset({"S"}), None)),
+    (CutResult, (ZERO, frozenset({"S"}), (-1,))),
+    (CutResult, (ZERO, frozenset({"S"}), (True,))),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_malformed_structures_raise_parameter_error(call, args):
     with pytest.raises(ParameterError):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mixed_instance, random_submodular_table, unary
+from helpers import (perturb_entry, random_gi_instance, random_mixed_instance,
+                     random_submodular_table, unary)
 import scsp.solver
 from scsp import (BinaryTable, Instance, IntervalFunction, SoftConstraint,
                   abs_diff, arith_relation, as_evaluation, brute_force,
@@ -168,8 +169,10 @@ class TestCompileRepeatedTables:
             return original(table, *args, **kwargs)
 
         monkeypatch.setattr(scsp.solver, "decompose_binary", counting)
-        compile_to_intervals(inst)
-        assert calls == [t]
+        for route in (compile_to_intervals, build_network, solve):
+            calls.clear()
+            route(inst)
+            assert calls == [t]
 
     def test_repeated_bad_table_reports_its_first_holder(self):
         inst = Instance(("p", "q"), 2, (
@@ -178,9 +181,10 @@ class TestCompileRepeatedTables:
             SoftConstraint(("q", "p"), xor_penalty()),
             SoftConstraint(("p", "q"), xor_penalty()),
         ))
-        with pytest.raises(NotSubmodular) as info:
-            compile_to_intervals(inst)
-        assert info.value.constraint_index == 2
+        for route in (compile_to_intervals, build_network, solve):
+            with pytest.raises(NotSubmodular) as info:
+                route(inst)
+            assert info.value.constraint_index == 2
 
     def test_solve_matches_brute_force(self):
         _, inst = self.repeated_instance()
@@ -188,6 +192,54 @@ class TestCompileRepeatedTables:
         best = brute_force(inst).evaluation
         assert solution.evaluation == best
         assert evaluate(inst, solution.assignment) == best
+
+
+class TestDirectRoute:
+    """build_network routes each table's terms straight into arcs; the
+    network, its numbering and its refusals are the compiled route's."""
+
+    def test_equals_the_compiled_route(self):
+        rng = random.Random(75)
+        instances = [random_mixed_instance(rng) for _ in range(300)]
+        instances += [random_gi_instance(rng) for _ in range(300)]
+        seen = set()
+        for inst in instances:
+            net = build_network(inst)
+            assert net == build_network(compile_to_intervals(inst))
+            for c in inst.constraints:
+                f = c.function
+                if isinstance(f, BinaryTable) and c.scope[0] == c.scope[1]:
+                    seen.add("repeated scope")
+                if isinstance(f, IntervalFunction) and f.penalty.is_zero:
+                    seen.add("zero penalty")
+            if any(c.is_infinite and k is not None for c, k in zip(
+                    net.capacities, net.constraint_indices)):
+                seen.add("infinite penalty")
+        assert seen == {"repeated scope", "zero penalty", "infinite penalty"}
+
+    def test_refuses_a_table_as_compile_does(self):
+        rng = random.Random(76)
+        refused = 0
+        for _ in range(300):
+            inst = random_mixed_instance(rng)
+            inst = Instance(inst.variables, inst.domain_size, tuple(
+                SoftConstraint(c.scope, perturb_entry(rng, c.function))
+                if isinstance(c.function, BinaryTable)
+                else c for c in inst.constraints))
+            try:
+                compile_to_intervals(inst)
+            except NotSubmodular as err:
+                expected = err.constraint_index, err.witness
+            else:
+                assert solve(inst).network == build_network(inst)
+                continue
+            for route in (build_network, solve):
+                with pytest.raises(NotSubmodular) as info:
+                    route(inst)
+                assert (info.value.constraint_index,
+                        info.value.witness) == expected
+            refused += 1
+        assert refused > 50
 
 
 class TestSolve:
@@ -320,6 +372,7 @@ class TestTermsGuard:
     def test_refuses_before_routing_past_the_guard(self, monkeypatch):
         rng = random.Random(93)
         instances = [random_mixed_instance(rng) for _ in range(100)]
+        instances += [random_gi_instance(rng) for _ in range(40)]
         sizes = [len(compile_to_intervals(inst).constraints)
                  for inst in instances]
         routed = []
@@ -330,24 +383,35 @@ class TestTermsGuard:
             monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", n)
             assert len(compile_to_intervals(inst).constraints) == n
             assert solve(inst).evaluation == brute_force(inst).evaluation
+            assert build_network(inst) == build_network(
+                compile_to_intervals(inst))
             if n == 0:
                 continue
             monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", n - 1)
             routed.clear()
-            with pytest.raises(TooLarge):
+            with pytest.raises(TooLarge) as compiled:
                 compile_to_intervals(inst)
             assert len(routed) <= n - 1
-            with pytest.raises(TooLarge):
-                solve(inst)
+            # build_network and solve refuse at the same constraint
+            for route in (build_network, solve):
+                with pytest.raises(TooLarge) as info:
+                    route(inst)
+                assert str(info.value) == str(compiled.value)
             refused += 1
-        assert refused > 80
+        assert refused > 110
 
     def test_one_constraint_past_the_guard(self, monkeypatch):
         c = SoftConstraint(("a", "b"), abs_diff(4))
+        inst = Instance(("a", "b"), 4, (c,))
         terms = len(expand_constraint(c))
+        monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", terms)
+        assert len(build_network(inst).capacities) == 2 * 6 + terms
         monkeypatch.setattr("scsp.cutgraph.TERMS_GUARD", terms - 1)
         with pytest.raises(TooLarge):
             expand_constraint(c)
+        for route in (build_network, solve):
+            with pytest.raises(TooLarge, match="constraint 0 takes"):
+                route(inst)
 
 
 class TestBruteForce:

@@ -44,6 +44,16 @@ def check_counts(tracing, tracer, source):
     assert counts["cutgraph.cut_edges"] == len(min_cut(expected).cut_edges)
 
 
+def check_decompositions(tracer):
+    """quadratic.scsp holds six distinct unary tables and one binary table
+    on three scopes; each is decomposed once, under a span the benchmark's
+    ``submodular.terms`` and ``submodular.decompose_s`` are read from."""
+    assert tracer.calls("submodular.decompose_unary") == 6
+    assert tracer.calls("submodular.decompose_binary") == 1
+    assert len(tracer.term_counts) == 7
+    assert all(terms > 0 for _, _, terms in tracer.term_counts)
+
+
 def test_every_wrapped_name_resolves(tracing):
     for module_name, attr, _ in tracing.WRAPPED:
         assert callable(getattr(getattr(scsp, module_name), attr)), (
@@ -59,6 +69,7 @@ def test_traced_solve(tracing, quadratic):
     assert {"cutgraph.build_network", "cutgraph.min_cut"} <= set(tracer.kept)
     assert tracer.calls("solver.solve") == 1
     assert tracer.calls("submodular.find_violation") == 1
+    check_decompositions(tracer)
     check_counts(tracing, tracer, quadratic)
     # uninstall put the originals back
     assert scsp.solver.min_cut is min_cut
@@ -74,6 +85,7 @@ def test_traced_command_line(tracing, quadratic, tmp_path, capsys):
     assert {"fileformat.parse_instance", "cutgraph.build_network",
             "cutgraph.min_cut"} <= set(tracer.kept)
     assert tracer.calls("cutgraph.format_network") == 1
+    check_decompositions(tracer)
     check_counts(tracing, tracer, quadratic)
     times = tracing.layer_times(tracer.self_times())
     assert set(times) == set(tracing.LAYER_TIMES)
