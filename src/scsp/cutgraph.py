@@ -23,8 +23,10 @@ Infinite capacities never enter the flow computation as a sentinel the
 arithmetic could overflow; they are replaced by one unit more than the sum
 of all finite capacities, which no finite-evaluation cut can reach, and a
 computed value at or above that bound is reported as infinite.  The
-flow comes from Boykov and Kolmogorov's search trees, and each cut is
-proved minimum by a flow of equal value before it is returned.
+flow comes from Boykov and Kolmogorov's search trees over residual arc
+pairs, one pair per edge except that an edge and its reverse edge share
+one, so the search scans such a neighbour once.  Each cut is proved
+minimum by a flow of equal value before it is returned.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
+from operator import gt
 
 from .errors import CutMismatch, ParameterError, TooLarge
 from .evaluation import INF, ZERO, Evaluation, frozen_slots
@@ -104,10 +107,13 @@ class FlowNetwork:
             i = [isinstance(c, Evaluation) for c in capacities].index(False)
             raise ParameterError(f"edge {i} has capacity {capacities[i]!r}, "
                                  "which is not an Evaluation")
-        for i, k in enumerate(constraints):  # type() also refuses a bool
-            if k is not None and (type(k) is not int or k < 0):
-                raise ParameterError(f"edge {i} has constraint index {k!r}, "
-                                     "neither None nor a non-negative integer")
+        # type() also refuses a bool; filter drops None, and 0 is valid
+        if not set(map(type, constraints)) <= {int, type(None)} or min(
+                filter(None, constraints), default=0) < 0:
+            i, k = next((i, k) for i, k in enumerate(constraints)
+                        if k is not None and (type(k) is not int or k < 0))
+            raise ParameterError(f"edge {i} has constraint index {k!r}, "
+                                 "neither None nor a non-negative integer")
         # equal ids share one int object, so the engine touches fewer objects
         node = list(range(n)).__getitem__
         try:
@@ -174,7 +180,7 @@ def min_cut(network: FlowNetwork) -> CutResult:
                                 network.capacities)
     nodes = network.nodes
     # each distinct capacity object is scaled once; None stands for INF
-    distinct = {id(c): c for c in capacities}
+    distinct = dict(zip(map(id, capacities), capacities))
     finite = [c.fraction for c in distinct.values() if not c.is_infinite]
     scale = lcm(*(f.denominator for f in finite))
     scaled = {key: None if c.is_infinite
@@ -182,22 +188,36 @@ def min_cut(network: FlowNetwork) -> CutResult:
               for key, c in distinct.items()}
     caps = list(map(scaled.__getitem__, map(id, capacities)))
     big = sum(filter(None, caps)) + 1
+    caps = [big if c is None else c for c in caps]
 
-    # arc 2i runs along edge i and arc 2i + 1 against it: a residual pair
-    arc_to = [0] * (2 * len(tails))
-    arc_to[0::2] = heads
-    arc_to[1::2] = tails
-    arc_cap = [0] * len(arc_to)
-    arc_cap[0::2] = [big if c is None else c for c in caps]
+    # arc 2p runs along the edge that opened residual pair p, arc 2p + 1
+    # against it.  An edge whose reverse edge opened a pair with a free
+    # back arc takes that arc, so a pair holds one edge or two antiparallel
+    # ones; a parallel duplicate or a self-loop opens a pair of its own.
+    # free maps (tail, head) to the latest free back arc running so
+    arc_to: list[int] = []
+    arc_cap: list[int] = []
     adjacency: list[list[int]] = [[] for _ in nodes]
-    for a, u, v in zip(count(0, 2), tails, heads):
-        adjacency[u].append(a)
-        adjacency[v].append(a + 1)
+    free: dict = {}
+    for u, v, c in zip(tails, heads, caps):
+        a = free.pop((u, v), None)
+        if a is None:
+            a = len(arc_to)
+            arc_to += v, u
+            arc_cap += c, 0
+            adjacency[u].append(a)
+            adjacency[v].append(a + 1)
+            if u != v:  # a self-loop keeps its pair to itself
+                free[v, u] = a + 1
+        else:
+            arc_cap[a] = c
+    del free
 
     residual = arc_cap.copy()
     flow, reached = _max_flow(len(nodes), arc_to, residual, adjacency, 0, 1)
-    cut_edges = _certify(arc_to, arc_cap, residual, flow, reached)
-    side = frozenset(node for node, r in zip(nodes, reached) if r)
+    cut_edges = _certify(arc_to, arc_cap, residual, flow, reached,
+                         (tails, heads, caps))
+    side = frozenset(compress(nodes, reached))
     value = INF if flow >= big else Evaluation(Fraction(flow, scale))
     return CutResult(value, side, cut_edges)
 
@@ -250,22 +270,29 @@ def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
         if bridge < 0:
             return total, [t > 0 for t in tree]
 
-        # augmentation: each path arc is kept with the child it feeds, the
-        # child orphaned when the arc saturates
-        path = []
-        for v, up in ((arc_to[bridge ^ 1], 1), (arc_to[bridge], 0)):
+        # augmentation: walk each half of the path to the bridge once for
+        # the bottleneck and once to push it; a child whose parent arc
+        # saturates is orphaned.  Flow runs down the source tree against
+        # parent arcs and up the sink tree along them
+        halves = (arc_to[bridge ^ 1], 1), (arc_to[bridge], 0)
+        bottleneck = arc_cap[bridge]
+        for v, up in halves:
             while parent[v] != TERMINAL:
-                path.append((v, parent[v] ^ up))
-                v = arc_to[parent[v]]
-        bottleneck = min([arc_cap[bridge]] + [arc_cap[a] for _, a in path])
+                a = parent[v]
+                if arc_cap[a ^ up] < bottleneck:
+                    bottleneck = arc_cap[a ^ up]
+                v = arc_to[a]
         arc_cap[bridge] -= bottleneck
         arc_cap[bridge ^ 1] += bottleneck
-        for v, a in path:
-            arc_cap[a] -= bottleneck
-            arc_cap[a ^ 1] += bottleneck
-            if not arc_cap[a]:
-                parent[v] = ORPHAN
-                orphans.append(v)
+        for v, up in halves:
+            while parent[v] != TERMINAL:
+                a = parent[v]
+                arc_cap[a ^ up] -= bottleneck
+                arc_cap[a ^ up ^ 1] += bottleneck
+                if not arc_cap[a ^ up]:
+                    parent[v] = ORPHAN
+                    orphans.append(v)
+                v = arc_to[a]
         total += bottleneck
 
         # adoption: stamp[v] == time marks a path known to meet no orphan
@@ -304,38 +331,44 @@ def _max_flow(n, arc_to, arc_cap, adjacency, source, sink):
         orphans.clear()
 
 
-def _certify(arc_to, capacity, residual, flow, reached) -> tuple[int, ...]:
+def _certify(arc_to, capacity, residual, flow, reached,
+             edges) -> tuple[int, ...]:
     """Check that ``residual`` holds a maximum flow of value ``flow`` and
     ``reached`` a minimum cut; return the indices of the edges leaving it.
 
-    Edge i is the arc pair 2i, 2i + 1 and carries the flow on its reverse
-    arc; S and T are nodes 0 and 1.  A flow within the capacities, conserved
-    at every other node, whose value is the weight of a cut proves both
-    optimal.
+    Arcs 2p and 2p + 1 are residual pair p, of forward and back capacity
+    ``capacity[2p]`` and ``capacity[2p + 1]``; its net flow runs along the
+    forward arc.  ``edges`` holds the network's tail ids, head ids and
+    scaled capacities; S and T are nodes 0 and 1.  A flow within every
+    pair's capacities, conserved at every other node, whose value is the
+    weight of a cut proves both optimal.
     """
     if not reached[0] or reached[1]:
         raise CutMismatch("the cut's source side must hold S and not T")
     excess = [0] * len(reached)
-    weight = 0
-    cut_edges = []
-    for i in range(0, len(arc_to), 2):
-        c, f = capacity[i], residual[i + 1]
-        if not 0 <= f <= c or residual[i] != c - f:
-            raise CutMismatch(f"edge {i // 2} of capacity {c} carries "
-                              f"flow {f} with residual {residual[i]}")
-        head, tail = arc_to[i], arc_to[i + 1]
-        excess[head] += f
-        excess[tail] -= f
-        if reached[tail] and not reached[head]:
-            weight += c
-            cut_edges.append(i // 2)
+    for p in range(0, len(arc_to), 2):
+        forward, back, r = capacity[p], capacity[p + 1], residual[p]
+        f = forward - r
+        if not -back <= f <= forward or r + residual[p + 1] != forward + back:
+            raise CutMismatch(
+                f"arc pair {p // 2} of forward capacity {forward} and back "
+                f"capacity {back} carries net flow {f} with residuals {r} "
+                f"and {residual[p + 1]}")
+        if f:
+            excess[arc_to[p]] += f
+            excess[arc_to[p + 1]] -= f
     if excess[0] != -flow or excess[1] != flow or any(excess[2:]):
         raise CutMismatch(f"a flow of value {flow} must leave S, reach T "
                           "and be conserved at every other node")
+    tails, heads, caps = edges
+    side = reached.__getitem__  # True > False: the edge leaves the side
+    cut_edges = tuple(compress(count(), map(gt, map(side, tails),
+                                            map(side, heads))))
+    weight = sum(map(caps.__getitem__, cut_edges))
     if weight != flow:
         raise CutMismatch(f"cut weight {weight} differs from the flow "
                           f"{flow}: the cut is not minimal")
-    return tuple(cut_edges)
+    return cut_edges
 
 
 def extract_assignment(network: FlowNetwork, cut: CutResult) -> dict:

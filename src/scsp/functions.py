@@ -21,9 +21,12 @@ and a few small named tables.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
+from operator import attrgetter
 
 from .errors import (ApproximationBrokeSubmodularity, DomainError,
                      ParameterError)
@@ -55,6 +58,20 @@ class IntervalFunction:
                 x is True or y is True) or x < 1 or y < 1:
             raise DomainError(f"arguments ({x!r}, {y!r}) outside the domain")
         return ZERO if x < self.x_min or y > self.y_max else self.penalty
+
+
+_exact_value = attrgetter("_value")  # an Evaluation's Fraction, None for inf
+
+
+def _cells_hash(cells) -> int:
+    """A table's hash: each cell's numerator and denominator, which equal
+    cells share (a Fraction is kept in lowest terms), and
+    ``sys.hash_info.inf`` for an infinite cell, since ``hash(None)``
+    differs between processes before Python 3.12 and the cached hash is
+    pickled with the table.  The pure-Python ``Fraction.__hash__`` is
+    never called."""
+    return hash(tuple(sys.hash_info.inf if f is None else f.as_integer_ratio()
+                      for f in map(_exact_value, cells)))
 
 
 @frozen_slots
@@ -92,7 +109,7 @@ class UnaryTable:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.values))
+            object.__setattr__(self, "_hash", _cells_hash(self.values))
         return self._hash
 
     def __repr__(self):
@@ -145,7 +162,8 @@ class BinaryTable:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.rows))
+            object.__setattr__(self, "_hash",
+                               _cells_hash(chain.from_iterable(self.rows)))
         return self._hash
 
     def __repr__(self):

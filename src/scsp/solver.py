@@ -218,19 +218,23 @@ def build_network(instance: Instance) -> FlowNetwork:
     capacities = [INF] * len(tails)
     constraints = [None] * len(tails)
     memo: dict = {}
+    nonzero = set()  # ids of the penalty objects known not to be zero
     guard = cutgraph.TERMS_GUARD
     routed = 0  # the next compiled constraint's number
     for index, c in enumerate(instance.constraints):
         f = c.function
         if isinstance(f, IntervalFunction):
-            if f.penalty.is_zero:
-                continue
+            p = f.penalty
+            if id(p) not in nonzero:
+                if p.is_zero:
+                    continue
+                nonzero.add(id(p))
             if routed >= guard:
                 raise _too_large(index)
             v, w = c.scope
             tails.append(node[level0[w] + f.y_max])
             heads.append(node[level0[v] + f.x_min - 1])
-            capacities.append(f.penalty)
+            capacities.append(p)
             constraints.append(routed)
             routed += 1
             continue

@@ -7,6 +7,7 @@ construction and the decomposition round trip has a known-good input.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from fractions import Fraction
@@ -112,6 +113,25 @@ def random_gi_instance(rng: random.Random, max_vars: int = 6,
             Fraction(rng.randint(0, 9), rng.choice((1, 2, 4))))
         constraints.append(SoftConstraint(
             (v, w), IntervalFunction(rng.randint(1, m), rng.randint(1, m), rho)))
+    return Instance(names, m, tuple(constraints))
+
+
+@functools.cache
+def criterion_10_instance() -> Instance:
+    """Acceptance criterion 10's instance: 1000 random submodular tables on
+    pairs of 200 variables over 1..16, drawn from seed 5 (optimum 762)."""
+    rng = random.Random(5)
+    m, n = 16, 200
+    names = tuple(f"v{k}" for k in range(n))
+    constraints = []
+    for _ in range(1000):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+        constraints.append(SoftConstraint(
+            (names[i], names[j]),
+            random_submodular_table(rng, m, max_terms=5, inf_share=0.08)))
     return Instance(names, m, tuple(constraints))
 
 

@@ -10,9 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import (random_assignment, random_gi_instance,
-                     random_mixed_instance, random_submodular_table,
-                     reaches_sink_avoiding)
+from helpers import (criterion_10_instance, random_assignment,
+                     random_gi_instance, random_mixed_instance,
+                     random_submodular_table, reaches_sink_avoiding)
 from scsp import (INF, FlowEdge, Instance, IntervalFunction, IntervalTerm,
                   SoftConstraint, as_evaluation, brute_force, build_network,
                   cut_from_assignment, decompose_binary, evaluate,
@@ -216,19 +216,7 @@ def test_criterion_09_xor_gadget():
 
 
 def test_criterion_10_scale():
-    rng = random.Random(5)
-    m, n = 16, 200
-    names = tuple(f"v{k}" for k in range(n))
-    constraints = []
-    for _ in range(1000):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
-        constraints.append(SoftConstraint(
-            (names[i], names[j]),
-            random_submodular_table(rng, m, max_terms=5, inf_share=0.08)))
-    inst = Instance(names, m, tuple(constraints))
+    inst = criterion_10_instance()
     start = time.perf_counter()
     sol = solve(inst)
     elapsed = time.perf_counter() - start

@@ -63,6 +63,21 @@ def networkx_cut(network, flow_func=None):
     return as_evaluation(value), reachable
 
 
+def both_ways_instance():
+    """Two chains over 1..3 with gi terms across them in both directions,
+    and one on each chain that runs down a chain arc."""
+    def gi(v, w, x_min, y_max, p):
+        return SoftConstraint((v, w), IntervalFunction(
+            x_min, y_max, as_evaluation(p)))
+    return Instance(("a", "b"), 3, (
+        gi("a", "b", 2, 1, 1),  # (b, 1) -> (a, 1)
+        gi("b", "a", 2, 1, 2),  # (a, 1) -> (b, 1)
+        gi("a", "a", 2, 2, 3),  # (a, 2) -> (a, 1), against a chain arc
+        gi("b", "b", 3, 3, 1),  # (b, 3) -> (b, 2), against a chain arc
+        gi("a", "b", 3, 2, 4),  # (b, 2) -> (a, 2), alone
+    ))
+
+
 class TestBuildNetwork:
     def test_chain_instance_layout(self, chain_text):
         net = build_network(parse_instance(chain_text))
@@ -317,6 +332,26 @@ class TestMinCut:
         with pytest.raises(ParameterError, match="one length"):
             FlowNetwork(("x",), 2, (2,), (3, 4), (INF,), (None,))
 
+    def test_antiparallel_edges_share_one_arc_pair(self, monkeypatch):
+        # 10 structural edges and 5 constraint edges hold 3 antiparallel
+        # couples: the engine gets 15 - 3 = 12 arc pairs
+        net = build_network(both_ways_instance())
+        reverse = [(v, u) for u, v in zip(net.tails, net.heads)]
+        edges = list(zip(net.tails, net.heads))
+        assert sum(e in edges for e in reverse) == 2 * 3
+        pairs = []
+        real = cutgraph._max_flow
+
+        def engine(n, arc_to, arc_cap, adjacency, source, sink):
+            pairs.extend(zip(arc_to[1::2], arc_to[0::2]))
+            return real(n, arc_to, arc_cap, adjacency, source, sink)
+        monkeypatch.setattr(cutgraph, "_max_flow", engine)
+        cut = min_cut(net)
+        assert len(pairs) == 12 and len(set(pairs)) == 12
+        # each edge runs along one arc of a pair, forward or back
+        assert all((u, v) in pairs or (v, u) in pairs for u, v in edges)
+        assert cut.value == brute_force(both_ways_instance()).evaluation
+
     def test_each_node_is_queued_once(self, monkeypatch):
         # a dense table on every pair of four variables: freed orphans
         # wake neighbours that are still pending in the queue
@@ -387,6 +422,24 @@ def flow_networks(draw):
     range(8)))
 @example(FlowNetwork(("x0",), 1, (0, 3, 0), (3, 1, 1),
                      (INF, INF, as_evaluation(2)), range(3)))
+# an antiparallel pair finite both ways
+@example(FlowNetwork(("x0",), 1, (0, 2, 3, 3, 0, 2), (2, 3, 2, 1, 3, 1),
+                     tuple(map(as_evaluation, (5, 2, 1, 5, 1, 1))), range(6)))
+# an antiparallel pair infinite both ways
+@example(FlowNetwork(("x0",), 1, (0, 2, 3, 3, 2, 0), (2, 3, 2, 1, 1, 3),
+                     (as_evaluation(3), INF, INF, as_evaluation(2),
+                      as_evaluation(1), as_evaluation(4)), range(6)))
+# two parallel edges against one reverse edge
+@example(FlowNetwork(("x0",), 1, (0, 2, 2, 3, 3, 0, 2), (2, 3, 3, 2, 1, 3, 1),
+                     tuple(map(as_evaluation, (4, 1, 2, 5, 4, 3, 2))),
+                     range(7)))
+# an S <-> T pair
+@example(FlowNetwork(("x0",), 1, (0, 1, 0, 2), (1, 0, 2, 1),
+                     tuple(map(as_evaluation, (2, 3, 1, 1))), range(4)))
+# a pair of self-loops
+@example(FlowNetwork(("x0",), 1, (2, 2, 0, 2), (2, 2, 2, 1),
+                     (as_evaluation(1), INF, as_evaluation(2),
+                      as_evaluation(3)), range(4)))
 @given(flow_networks())
 def test_hand_built_networks_match_networkx(net):
     pytest.importorskip("networkx")
@@ -511,6 +564,25 @@ class TestOptimalityCertificate:
         net = build_network(parse_instance(chain_text))
         monkeypatch.setattr(cutgraph, "_max_flow", tampered(tamper))
         with pytest.raises(CutMismatch, match=message):
+            min_cut(net)
+
+    def test_net_flow_past_the_back_capacity_raises(self, monkeypatch):
+        real = cutgraph._max_flow
+
+        def engine(n, arc_to, arc_cap, adjacency, source, sink):
+            capacity = arc_cap.copy()
+            flow, reached = real(n, arc_to, arc_cap, adjacency, source, sink)
+            # a pair holding two edges: its net flow runs one unit further
+            # against the forward arc than the back arc holds, and its
+            # residuals still sum to its capacities
+            p = next(p for p in range(0, len(arc_to), 2)
+                     if capacity[p] and capacity[p + 1])
+            arc_cap[p] += arc_cap[p + 1] + 1
+            arc_cap[p + 1] = -1
+            return flow, reached
+        net = build_network(both_ways_instance())
+        monkeypatch.setattr(cutgraph, "_max_flow", engine)
+        with pytest.raises(CutMismatch, match="capacity"):
             min_cut(net)
 
     @pytest.mark.parametrize("node, mark", [(1, True), (0, False)],

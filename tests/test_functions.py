@@ -126,6 +126,16 @@ class TestTables:
             delattr(t, name)
         assert t == fresh and hash(t) == hash(fresh)
 
+    @pytest.mark.parametrize("make", [UnaryTable, lambda cells: BinaryTable(
+        [cells, cells[::-1], [0, 0, 0]])], ids=["unary", "binary"])
+    def test_equal_tables_from_other_inputs_hash_equal(self, make):
+        # a hash read off each cell's numerator and denominator must not
+        # see how the cell was written
+        a = make([Fraction(2, 4), 3, "inf"])
+        b = make([Fraction(1, 2), as_evaluation(3), INF])
+        assert a == b and hash(a) == hash(b)
+        assert hash(make([Fraction(1, 2), 3, 0])) != hash(a)
+
     def test_unpickled_hash_matches_a_fresh_table(self):
         # the pickle carries the cached hash, so it must not depend on the
         # process's hash seed, as hash("inf") would: a table pickled under
