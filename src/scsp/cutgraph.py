@@ -7,14 +7,13 @@ chain at exactly one level when finite, and the lowest severed level reads
 off the variable's value.  An interval constraint <(v, w), f> with penalty
 p is an edge from (w, f.y_max) to (v, f.x_min - 1) of capacity p: the edge
 crosses the cut exactly when the assignment pays p.
-``solver.build_network`` puts one such edge on the network for each
-interval constraint and each interval term of a decomposed table; it
-lives beside the solver's decomposition memo, which this module does not
-import.
 
 The node set depends on the variables alone, so every node has an integer
 id before any constraint is read: S is 0, T is 1, and (v, d) for the i-th
-variable is 2 + i*(M + 1) + d, its position in ``FlowNetwork.nodes``.  A
+variable is 2 + i*(M + 1) + d, its position in ``FlowNetwork.nodes``.
+``solver.build_network``, which lives beside the decomposition memo that
+this module does not import, takes every id from :func:`level_chains`:
+the chains' structural edges and each variable's level ids.  A
 network is its variables, M and four parallel tuples in edge order: tail
 ids, head ids, capacities and constraint indices.  Its ``edges``, a tuple
 of :class:`FlowEdge`, is built from them on each access.
@@ -33,13 +32,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import compress, count, repeat
-from math import lcm
 from operator import gt
 
 from .errors import CutMismatch, ParameterError, TooLarge
-from .evaluation import INF, ZERO, Evaluation, frozen_slots
+from .evaluation import ZERO, Evaluation, frozen_slots, scaled, unscaled
 from .functions import as_tuple, check_integer, check_type
 from .model import Instance, check_assignment, name_set
 
@@ -69,6 +66,21 @@ def _level_nodes(variables, m: int) -> int:
     return len(variables) * (m + 1)
 
 
+def level_chains(variables, m: int) -> tuple[list[int], list[int], dict]:
+    """The structural edges S -> (v, m), (v, 0) -> T and (v, d) -> (v, d + 1)
+    of each variable v, as tail and head id lists, and each variable's list
+    of level ids, equal ids being one int object.  TooLarge past
+    NETWORK_GUARD level nodes, before anything is allocated."""
+    node = list(range(2 + _level_nodes(variables, m)))
+    levels = {v: node[i:i + m + 1]
+              for v, i in zip(variables, range(2, len(node), m + 1))}
+    tails, heads = [], []
+    for ids in levels.values():
+        tails += 0, ids[0], *ids[:m]
+        heads += ids[m], 1, *ids[1:]
+    return tails, heads, levels
+
+
 @frozen_slots
 @dataclass(frozen=True, slots=True)
 class FlowNetwork:
@@ -81,8 +93,8 @@ class FlowNetwork:
     ParameterError for a field that is not iterable (or is a str) where a
     tuple is expected, an m that is not a positive integer, repeated
     variables, edge tuples of unequal lengths, a capacity that is not an
-    Evaluation, an id that is not a node's or a constraint index that is
-    neither None nor a non-negative integer.
+    Evaluation, an id that is not a node's (a bool is not) or a constraint
+    index that is neither None nor a non-negative integer.
     """
 
     variables: tuple[str, ...]
@@ -114,16 +126,17 @@ class FlowNetwork:
                         if k is not None and (type(k) is not int or k < 0))
             raise ParameterError(f"edge {i} has constraint index {k!r}, "
                                  "neither None nor a non-negative integer")
-        # equal ids share one int object, so the engine touches fewer objects
+        # shared int ids (fewer objects for the engine); type() refuses a bool
         node = list(range(n)).__getitem__
         try:
             ids = tuple(map(node, tails)), tuple(map(node, heads))
-            valid = min(tails, default=0) >= 0 and min(heads, default=0) >= 0
+            valid = {*map(type, tails), *map(type, heads)} <= {int} and (
+                min(tails, default=0) >= 0 and min(heads, default=0) >= 0)
         except (IndexError, TypeError):
             valid = False
         if not valid:
-            i = next(i for i, ends in enumerate(zip(tails, heads)) if not all(
-                isinstance(u, int) and 0 <= u < n for u in ends))
+            i = next(i for i, edge in enumerate(zip(tails, heads)) if not all(
+                type(u) is int and 0 <= u < n for u in edge))
             raise ParameterError(f"edge {i} runs from {tails[i]!r} to "
                                  f"{heads[i]!r}, not between node ids")
         for name, value in zip(self.__dataclass_fields__, (
@@ -169,7 +182,7 @@ class CutResult:
 def min_cut(network: FlowNetwork) -> CutResult:
     """Minimum source-sink cut, exact over the rationals.
 
-    Capacities are scaled by the least common denominator and the flow is
+    Capacities are made ints by :func:`evaluation.scaled` and the flow is
     computed over the integers, so the result is exact.  The source side
     is the set of nodes reachable from the source in the final residual
     graph, which makes the answer deterministic.  A linear-time optimality
@@ -181,12 +194,8 @@ def min_cut(network: FlowNetwork) -> CutResult:
     nodes = network.nodes
     # each distinct capacity object is scaled once; None stands for INF
     distinct = dict(zip(map(id, capacities), capacities))
-    finite = [c.fraction for c in distinct.values() if not c.is_infinite]
-    scale = lcm(*(f.denominator for f in finite))
-    scaled = {key: None if c.is_infinite
-              else c.fraction.numerator * (scale // c.fraction.denominator)
-              for key, c in distinct.items()}
-    caps = list(map(scaled.__getitem__, map(id, capacities)))
+    ints, scale = scaled(distinct.values())
+    caps = list(map(dict(zip(distinct, ints)).__getitem__, map(id, capacities)))
     big = sum(filter(None, caps)) + 1
     caps = [big if c is None else c for c in caps]
 
@@ -218,7 +227,7 @@ def min_cut(network: FlowNetwork) -> CutResult:
     cut_edges = _certify(arc_to, arc_cap, residual, flow, reached,
                          (tails, heads, caps))
     side = frozenset(compress(nodes, reached))
-    value = INF if flow >= big else Evaluation(Fraction(flow, scale))
+    value = unscaled(None if flow >= big else flow, scale)
     return CutResult(value, side, cut_edges)
 
 

@@ -4,6 +4,9 @@ Penalties aggregate by addition, and ``inf`` is absorbing: ``inf + e = inf``
 for every ``e``.  They are totally ordered, with ``inf`` above every finite
 value.  Finite values are exact fractions, so that sums and comparisons
 over a whole instance never drift and an optimum is exact.
+
+Only this module reads an Evaluation's Fraction field: other hot loops run
+on the exact ints of :func:`scaled` and come back through :func:`unscaled`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 
 from .errors import PenaltyError
 
@@ -194,3 +199,30 @@ def exact_coefficient(name: str, value, allow_zero: bool = False) -> Evaluation:
         raise PenaltyError(f"{name} must be an exact finite {kind} "
                            f"rational, got {value!r}")
     return e
+
+
+_fraction = attrgetter("_value")  # an Evaluation's Fraction, None for inf
+
+
+def scaled(values) -> tuple[list[int | None], int]:
+    """The Evaluations ``values`` times k as ints, None for INF, and k, the
+    lcm of the finite values' denominators (1 if none): int arithmetic on
+    them is exact arithmetic on the values, as k > 0 keeps every order."""
+    fractions = list(map(_fraction, values))
+    k = lcm(*{f.denominator for f in fractions if f is not None})
+    return [None if f is None else f.numerator * (k // f.denominator)
+            for f in fractions], k
+
+
+def unscaled(n: int | None, k: int) -> Evaluation:
+    """The inverse of :func:`scaled`: the Evaluation n/k, INF for None."""
+    return INF if n is None else Evaluation._make(Fraction(n, k))
+
+
+def cells_hash(cells) -> int:
+    """A table's hash, from each cell's numerator and denominator (equal
+    cells share them) and ``sys.hash_info.inf`` for INF: ``hash(None)``
+    differs between processes before Python 3.12, and a table pickles its
+    hash.  The pure-Python ``Fraction.__hash__`` is never called."""
+    return hash(tuple(sys.hash_info.inf if f is None else f.as_integer_ratio()
+                      for f in map(_fraction, cells)))

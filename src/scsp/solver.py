@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import cutgraph
-from .cutgraph import FlowNetwork, _level_nodes, extract_assignment, min_cut
+from .cutgraph import FlowNetwork, extract_assignment, level_chains, min_cut
 from .errors import (CutMismatch, GadgetMismatch, IsSubmodular,
                      NotSubmodular, TooLarge)
 from .evaluation import INF, ZERO, Evaluation, exact_coefficient, frozen_slots
@@ -204,17 +204,7 @@ def build_network(instance: Instance) -> FlowNetwork:
     check_type("instance", instance, Instance)
     m = instance.domain_size
     variables = instance.variables
-    # every id is taken from this list, so the edges share its int objects
-    node = list(range(2 + _level_nodes(variables, m)))
-    # per variable: S -> (v, M), (v, 0) -> T, then (v, d) -> (v, d + 1)
-    tails, heads = [], []
-    level0 = {}  # variable -> the id of its level 0
-    for i, v in enumerate(variables):
-        base = level0[v] = 2 + i * (m + 1)
-        tails += node[0], node[base]
-        tails += node[base:base + m]
-        heads += node[base + m], node[1]
-        heads += node[base + 1:base + m + 1]
+    tails, heads, levels = level_chains(variables, m)
     capacities = [INF] * len(tails)
     constraints = [None] * len(tails)
     memo: dict = {}
@@ -232,8 +222,8 @@ def build_network(instance: Instance) -> FlowNetwork:
             if routed >= guard:
                 raise _too_large(index)
             v, w = c.scope
-            tails.append(node[level0[w] + f.y_max])
-            heads.append(node[level0[v] + f.x_min - 1])
+            tails.append(levels[w][f.y_max])
+            heads.append(levels[v][f.x_min - 1])
             capacities.append(p)
             constraints.append(routed)
             routed += 1
@@ -243,9 +233,9 @@ def build_network(instance: Instance) -> FlowNetwork:
             memo, f, v == w, index, _route)
         if len(penalties) > guard - routed:
             raise _too_large(index)
-        ends = level0[v], level0[w]
-        tails += [node[ends[s] + d] for s, d in route_tails]
-        heads += [node[ends[s] + d] for s, d in route_heads]
+        ends = levels[v], levels[w]
+        tails += [ends[s][d] for s, d in route_tails]
+        heads += [ends[s][d] for s, d in route_heads]
         capacities += penalties
         constraints += range(routed, routed + len(penalties))
         routed += len(penalties)
@@ -319,9 +309,9 @@ def xor_gadget(psi: BinaryTable, epsilon=1) -> GadgetResult:
     check_type("psi", psi, BinaryTable)
     eps = exact_coefficient("epsilon", epsilon)
     m = psi.m
-    if m ** 6 > BRUTE_FORCE_GUARD:
-        raise TooLarge(f"projecting out four variables over 1..{m} "
-                       "exceeds the enumeration guard")
+    if m ** 4 > BRUTE_FORCE_GUARD:  # find_violation_full's M^4 quadruples
+        raise TooLarge(f"scanning the {m}**4 quadruples of a table over "
+                       f"1..{m} exceeds the enumeration guard")
     witness = find_violation_full(psi)
     if witness is None:
         raise IsSubmodular("the table has no violating quadruple")

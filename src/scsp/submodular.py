@@ -34,27 +34,22 @@ of it, and each finished line must be infinite from there on and is zeroed
 there.  After both passes the residual must be identically zero; anything
 else raises DecompositionError.
 
-Internally a table is scaled once by k, the lcm of its finite cells'
-denominators, so a cell is a plain int, or None for infinity: the inner
-loops run hot enough under decomposition-heavy workloads that the
-arithmetic is done on raw ints, and an amount becomes ``Fraction(v, k)``
-only where a term or a residual table is built.  Scaling by a positive k
-keeps every comparison, so the check and the terms are those of the
-unscaled table.
+The check and the stages run hot, so they scale each table once by
+:func:`evaluation.scaled` and work on its int cells (None for infinity);
+an amount becomes an Evaluation again, by :func:`evaluation.unscaled`,
+only where a term is built.  :func:`reconstruct` sums terms the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import NamedTuple
 
 from .errors import (DecompositionError, DomainError, NotSubmodular,
                      ParameterError)
-from .evaluation import INF, ZERO, Evaluation, frozen_slots
+from .evaluation import INF, ZERO, frozen_slots, scaled, unscaled
 from .functions import (BinaryTable, IntervalFunction, UnaryTable, as_tuple,
                         check_integer, check_type)
 
@@ -70,18 +65,10 @@ class SubmodularityWitness(NamedTuple):
     y: int
 
 
-def _raw_grid(table: BinaryTable):
-    """The table's cells times k as ints, None for infinity, and k, the lcm
-    of the finite cells' denominators."""
-    cells = [[v._value for v in row] for row in table.rows]
-    k = lcm(*{f.denominator for row in cells for f in row if f is not None})
-    return [[None if f is None else f.numerator * (k // f.denominator)
-             for f in row] for row in cells], k
-
-
-def _unscaled(v, k) -> Evaluation:
-    """The Evaluation of a raw cell or amount ``v`` of a table scaled by k."""
-    return Evaluation._make(None if v is None else Fraction(v, k))
+def _scaled_rows(table: BinaryTable):
+    """The table's rows of :func:`evaluation.scaled` cells, and k."""
+    cells, k = scaled(itertools.chain.from_iterable(table.rows))
+    return [cells[i:i + table.m] for i in range(0, len(cells), table.m)], k
 
 
 def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
@@ -106,7 +93,7 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
     """
     check_type("table", table, BinaryTable)
     m = table.m
-    raw, _ = _raw_grid(table)
+    raw, _ = _scaled_rows(table)
     row_first = [-1] * m
     row_last = [-1] * m
     col_first = [-1] * m
@@ -149,10 +136,11 @@ def find_violation(table: BinaryTable) -> SubmodularityWitness | None:
 
 def find_violation_full(table: BinaryTable) -> SubmodularityWitness | None:
     """Reference check over every quadruple, lexicographic in (u, v, x, y),
-    on the unscaled Fraction cells."""
+    on Fraction cells read through public accessors, not through scaling."""
     check_type("table", table, BinaryTable)
     m = table.m
-    raw = [[v._value for v in row] for row in table.rows]
+    raw = [[None if v.is_infinite else v.fraction for v in row]
+           for row in table.rows]
     for u in range(1, m + 1):
         for v in range(1, m + 1):
             for x in range(u + 1, m + 1):
@@ -211,19 +199,18 @@ def reconstruct(terms, m: int) -> BinaryTable:
     """Pointwise sum of the terms, tabulated over (x, y) in 1..m squared.
 
     Each term adds its amount at the four corners of its rectangle in a
-    difference grid, in ints scaled by the lcm of the finite amounts'
-    denominators, or one count to a second grid of infinite coverage; the
-    2-D prefix sums of the two grids are the table, in O(M^2 + terms).
+    difference grid, in ints of :func:`evaluation.scaled`, or one count to
+    a second grid of infinite coverage; the 2-D prefix sums of the two
+    grids are the table, in O(M^2 + terms).
     """
     terms = as_tuple("terms", terms)
     check_integer("m", m)
     for term in terms:
         check_type("term", term, IntervalTerm)
-    k = lcm(*{t.interval.penalty._value.denominator for t in terms
-              if not t.interval.penalty.is_infinite})
+    weights, k = scaled(t.interval.penalty for t in terms)
     amounts = [[0] * (m + 1) for _ in range(m + 1)]
     infinite = [[0] * (m + 1) for _ in range(m + 1)]
-    for term in terms:
+    for term, w in zip(terms, weights):
         f = term.interval
         if f.x_min > m or f.y_max > m:
             raise DomainError(
@@ -237,14 +224,12 @@ def reconstruct(terms, m: int) -> BinaryTable:
         (r0, r1), (c0, c1) = rows, cols
         if r0 >= r1 or c0 >= c1:
             continue                      # an empty diagonal interval
-        p = f.penalty._value
-        grid, w = ((infinite, 1) if p is None
-                   else (amounts, p.numerator * (k // p.denominator)))
+        grid, w = (infinite, 1) if w is None else (amounts, w)
         grid[r0][c0] += w
         grid[r0][c1] -= w
         grid[r1][c0] -= w
         grid[r1][c1] += w
-    return BinaryTable([[INF if n else Fraction(a, k) for a, n in zip(*pair)]
+    return BinaryTable([[INF if n else unscaled(a, k) for a, n in zip(*pair)]
                         for pair in zip(_summed(amounts, m),
                                         _summed(infinite, m))])
 
@@ -276,7 +261,7 @@ def decompose_binary(table: BinaryTable) -> Decomposition:
     if witness is not None:
         raise NotSubmodular(witness)
     m = table.m
-    grid, k = _raw_grid(table)
+    grid, k = _scaled_rows(table)
     terms = []  # (pattern, x_min, y_max, raw penalty)
     for stage in (_strip_inconsistent, _strip_penalized, _peel):
         stage(grid, m, terms)
@@ -284,7 +269,7 @@ def decompose_binary(table: BinaryTable) -> Decomposition:
     if any(v != 0 for row in grid for v in row):
         raise DecompositionError("nonzero residual after peeling")
     return Decomposition(tuple(
-        IntervalTerm(IntervalFunction(a, b, _unscaled(v, k)), p)
+        IntervalTerm(IntervalFunction(a, b, unscaled(v, k)), p)
         for p, a, b, v in terms), m)
 
 

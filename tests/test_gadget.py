@@ -68,10 +68,18 @@ class TestGuards:
                 xor_gadget(xor_penalty(), epsilon=epsilon)
 
     def test_projection_guard(self):
-        rows = [[0] * 15 for _ in range(15)]
+        # the guard counts find_violation_full's M**4 quadruples, the
+        # gadget's largest cost: 56**4 is within BRUTE_FORCE_GUARD, 57**4 not
+        rows = [[0] * 57 for _ in range(57)]
         rows[0][0] = 99  # violates at (1,1,2,2), but the guard fires first
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="57"):
             xor_gadget(table(rows))
+
+    def test_fifteen_values_pass_the_guard(self):
+        rows = [[0] * 15 for _ in range(15)]
+        rows[0][0] = 99  # violates at (1,1,2,2)
+        r = xor_gadget(table(rows))
+        assert (r.a, r.c, r.b, r.d) == (1, 1, 2, 2) and r.verified
 
 
 class TestRandomTables:

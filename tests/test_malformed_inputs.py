@@ -114,6 +114,12 @@ def test_drawn_arguments_give_a_result_or_a_typed_error(call, arity, data):
     (CutResult, (ZERO, frozenset({"S"}), None)),
     (CutResult, (ZERO, frozenset({"S"}), (-1,))),
     (CutResult, (ZERO, frozenset({"S"}), (True,))),
+    # a bool is not a node id, though a lookup by index would read it as 0
+    # or 1; these are appended, so that earlier cases keep their ids
+    (FlowNetwork, (("x",), 1, (True, 0), (2, 2), (INF, INF), (None, None))),
+    (FlowNetwork, (("x",), 1, (0, False), (2, 2), (INF, INF), (None, None))),
+    (FlowNetwork, (("x",), 1, (0, 0), (True, 2), (INF, INF), (None, None))),
+    (FlowNetwork, (("x",), 1, (0, 0), (2, False), (INF, INF), (None, None))),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_malformed_structures_raise_parameter_error(call, args):
     with pytest.raises(ParameterError):

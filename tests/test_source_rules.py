@@ -43,12 +43,42 @@ def unslotted_dataclasses(tree):
 
 
 def private_imports(tree):
-    """Imports of a ``_``-prefixed name: the command line reaches the
-    solver through its public names only."""
+    """Imports of a ``_``-prefixed name: a module reaches another through
+    its public names only."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names
             if any(part.startswith("_") for part in alias.name.split("."))]
+
+
+def _private(name):
+    return (isinstance(name, str) and name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")))
+
+
+def foreign_private_attributes(tree):
+    """Reads of a ``_``-prefixed, non-dunder attribute that the module does
+    not define itself, also by name through ``getattr`` or ``attrgetter``:
+    a representation stays private to the module that owns it, as an
+    Evaluation's Fraction field is to ``evaluation``."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Store):
+            defined.add(_named(node))
+    lines = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else None
+        if isinstance(node, ast.Call) and _named(node) in ("getattr",
+                                                          "attrgetter"):
+            strings = [a.value for a in node.args
+                       if isinstance(a, ast.Constant)]
+            name = strings[0] if strings else None
+        if _private(name) and name not in defined:
+            lines.append(node.lineno)
+    return lines
 
 
 def literal_int_memberships(tree):
@@ -90,13 +120,10 @@ def test_the_library_is_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 @pytest.mark.parametrize("rule", [asserts, unslotted_dataclasses,
-                                  literal_int_memberships])
+                                  literal_int_memberships, private_imports,
+                                  foreign_private_attributes])
 def test_library_rules(rule, path):
     assert rule(parse(path)) == []
-
-
-def test_cli_imports_public_names_only():
-    assert private_imports(parse(LIBRARY / "cli.py")) == []
 
 
 def test_package_exports_what_it_imports():
@@ -109,6 +136,9 @@ def test_package_exports_what_it_imports():
     (unslotted_dataclasses, "@dataclasses.dataclass\nclass A:\n    x: int\n"),
     (private_imports, "from .solver import _key, solve\n"),
     (private_imports, "import scsp._internal\n"),
+    (foreign_private_attributes, "def f(e):\n    return e._value\n"),
+    (foreign_private_attributes, "x = Evaluation._make(None)\n"),
+    (foreign_private_attributes, "read = attrgetter('_value')\n"),
     (literal_int_memberships, "if k not in (1, 2, 3):\n    pass\n"),
     (unmatched_exports, "from .a import b, c\n__all__ = ['b']\n"),
     (unmatched_exports, "from .a import b\n__all__ = ['b', 'c']\n"),
@@ -116,3 +146,10 @@ def test_package_exports_what_it_imports():
 ])
 def test_each_rule_fires_on_a_breach(rule, source):
     assert rule(ast.parse(source)) != []
+
+
+def test_a_module_may_read_the_private_names_it_defines():
+    source = ("class A:\n    _hash = 0\n    def _make(self):\n"
+              "        self._value = 1\n"
+              "print(a._hash, a._make(), a._value, a.__dict__)\n")
+    assert foreign_private_attributes(ast.parse(source)) == []
